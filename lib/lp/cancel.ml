@@ -8,7 +8,8 @@ module Obs = Qp_obs
    deadline at submit time, so candidate LPs parallelized below a
    guarded solve still inherit it. NaN means "no deadline" — the hot
    path then costs one DLS load and a NaN test per pivot, no clock
-   read. Shared by the dense-tableau and revised simplex paths. *)
+   read. Shared by the simplex pivot loop and the tree
+   branch-and-bound. *)
 let deadline_key : float Domain.DLS.key = Domain.DLS.new_key (fun () -> Float.nan)
 
 let set_deadline = function

@@ -1,8 +1,7 @@
 (** Domain-local wall-clock deadlines for cooperative solver
-    cancellation, shared by every simplex path. Front ends should use
-    the re-exports on {!Simplex} ([set_deadline] / [get_deadline]);
-    this module exists so the dense and revised pivot loops can check
-    the same deadline without depending on each other. *)
+    cancellation, shared by the simplex pivot loop and the tree
+    branch-and-bound ([Qp_place.Tree_place]). Front ends should use
+    the re-exports on {!Simplex} ([set_deadline] / [get_deadline]). *)
 
 val set_deadline : float option -> unit
 val get_deadline : unit -> float option

@@ -1,3 +1,29 @@
+(* Two-phase revised simplex with an explicit basis inverse.
+
+   The solver never materializes the m x ncols tableau. It keeps:
+
+     - the constraint matrix, structural columns plus one unit column
+       per slack / surplus / artificial, as immutable flat CSC arrays
+       ([col_start] / [row_idx] / [vals]), built once;
+     - B⁻¹, a dense m x m row-major matrix updated by product-form
+       pivots. It starts as the identity and stays sparse on the
+       placement LPs, so each pivot walks only the nonzeros of the
+       pivot row;
+     - the basic solution xb = B⁻¹ b;
+     - the duals y = c_B B⁻¹, updated in O(m) per pivot
+       (y += d_q · row p of the new B⁻¹, for entering column q with
+       reduced cost d_q and pivot row p).
+
+   Per pivot: pricing over the sparse columns (O(nnz)), one FTRAN
+   (w = B⁻¹ A_q), the B⁻¹ row update and the dual update. Every
+   [refresh_every] pivots xb and y are recomputed from B⁻¹ (a full
+   BTRAN) to shed the product-form rounding drift; B⁻¹ itself is never
+   refactorized.
+
+   Pricing is Dantzig with a permanent switch to Bland's rule after a
+   stall of degenerate pivots, which guarantees termination; the ratio
+   test breaks ties on the smaller basic column index. *)
+
 module Obs = Qp_obs
 
 type outcome =
@@ -5,157 +31,179 @@ type outcome =
   | Infeasible
   | Unbounded
 
-(* Deadline machinery lives in [Cancel] so the dense and revised pivot
-   loops share one domain-local deadline; re-exported here because
-   front ends address the solver as [Simplex]. *)
+(* Deadline machinery lives in [Cancel], shared with the tree
+   branch-and-bound in [Qp_place]; re-exported here because front ends
+   address the solver as [Simplex]. *)
 let set_deadline = Cancel.set_deadline
 let get_deadline = Cancel.get_deadline
-let check_deadline = Cancel.check_deadline
-
-(* ------------------------------------------------------------------ *)
-(* Path selection                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type path = Dense | Revised
-
-(* The dense tableau allocates and rewrites m x ncols cells per pivot;
-   past this many cells (64 MB of floats) the revised path's sparse
-   columns + m x m basis inverse win on both memory and flops. Every
-   LP the default experiments emit at seed sizes sits well below the
-   threshold, keeping their pivot sequences — and therefore solver
-   output bytes — on the historical dense path. *)
-let revised_min_cells = 8_000_000
-
-let forced_path : path option Atomic.t = Atomic.make None
-let set_forced_path p = Atomic.set forced_path p
-let last_path_v : path Atomic.t = Atomic.make Dense
-let last_path () = Atomic.get last_path_v
-
-let choose_path ~m ~ncols =
-  match Atomic.get forced_path with
-  | Some p -> p
-  | None -> if m * ncols > revised_min_cells then Revised else Dense
 
 let eps_rc = 1e-9 (* reduced-cost optimality tolerance *)
 let eps_piv = 1e-9 (* minimum pivot magnitude *)
 let eps_zero = 1e-11
 
-(* Mutable tableau kept in canonical form: basis columns are unit
-   vectors, [b] is non-negative, [basis.(i)] names the basic variable
-   of row i. *)
-type tableau = {
-  mutable m : int; (* active rows *)
+(* Recompute xb = B⁻¹b and y = c_B B⁻¹ from scratch this often. *)
+let refresh_every = 128
+
+type state = {
+  m : int;
   ncols : int;
-  a : float array array; (* m x ncols *)
-  b : float array;
-  basis : int array;
+  first_artificial : int;
+  col_start : int array; (* ncols + 1 offsets into row_idx / vals *)
+  row_idx : int array;
+  vals : float array;
+  b : float array; (* normalized rhs, >= 0, immutable *)
+  binv : float array; (* m x m basis inverse, row-major *)
+  xb : float array; (* current basic values, B⁻¹ b *)
+  basis : int array; (* row -> basic column *)
+  in_basis : bool array; (* column -> basic? *)
+  nz : int array; (* scratch: nonzero positions of the pivot row *)
 }
 
-let pivot t ~row ~col =
-  let arow = t.a.(row) in
-  let p = arow.(col) in
-  let inv = 1. /. p in
-  for j = 0 to t.ncols - 1 do
-    arow.(j) <- arow.(j) *. inv
+let budget_exceeded max_pivots =
+  raise
+    (Qp_util.Qp_error.Error
+       (Internal
+          (Printf.sprintf "Simplex: pivot budget exceeded (%d pivots)"
+             max_pivots)))
+
+(* w := B⁻¹ A_col. *)
+let ftran st col w =
+  let m = st.m and binv = st.binv in
+  let s0 = st.col_start.(col) and s1 = st.col_start.(col + 1) in
+  for i = 0 to m - 1 do
+    let base = i * m in
+    let acc = ref 0. in
+    for e = s0 to s1 - 1 do
+      acc := !acc +. (binv.(base + st.row_idx.(e)) *. st.vals.(e))
+    done;
+    w.(i) <- !acc
+  done
+
+(* y := c_B^T B⁻¹, skipping rows whose basic cost is zero (most rows,
+   in both phases). *)
+let btran st cost y =
+  let m = st.m and binv = st.binv in
+  Array.fill y 0 m 0.;
+  for k = 0 to m - 1 do
+    let cb = cost.(st.basis.(k)) in
+    if cb <> 0. then begin
+      let base = k * m in
+      for i = 0 to m - 1 do
+        y.(i) <- y.(i) +. (cb *. binv.(base + i))
+      done
+    end
+  done
+
+(* [dot st v base j] is u · A_j, where u is the length-m vector stored
+   in [v] from offset [base]. *)
+let dot st v base j =
+  let acc = ref 0. in
+  for e = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+    acc := !acc +. (v.(base + st.row_idx.(e)) *. st.vals.(e))
   done;
-  arow.(col) <- 1.;
-  t.b.(row) <- t.b.(row) *. inv;
-  for i = 0 to t.m - 1 do
+  !acc
+
+(* Product-form pivot: basis row [row] leaves, column [col] enters,
+   with [w] = B⁻¹ A_col already computed. Updates binv, xb, basis, and
+   leaves the nonzero positions of the new pivot row of B⁻¹ in
+   [st.nz], returning their count. *)
+let apply_pivot st ~row ~col w =
+  let m = st.m and binv = st.binv and nz = st.nz and xb = st.xb in
+  let inv = 1. /. w.(row) in
+  let base_r = row * m in
+  let cnt = ref 0 in
+  for k = 0 to m - 1 do
+    let v = binv.(base_r + k) in
+    if v <> 0. then begin
+      binv.(base_r + k) <- v *. inv;
+      nz.(!cnt) <- k;
+      incr cnt
+    end
+  done;
+  let cnt = !cnt in
+  xb.(row) <- xb.(row) *. inv;
+  let xr = xb.(row) in
+  for i = 0 to m - 1 do
     if i <> row then begin
-      let f = t.a.(i).(col) in
+      let f = w.(i) in
       if Float.abs f > eps_zero then begin
-        let ai = t.a.(i) in
-        for j = 0 to t.ncols - 1 do
-          ai.(j) <- ai.(j) -. (f *. arow.(j))
+        let base_i = i * m in
+        for t = 0 to cnt - 1 do
+          let k = nz.(t) in
+          binv.(base_i + k) <- binv.(base_i + k) -. (f *. binv.(base_r + k))
         done;
-        ai.(col) <- 0.;
-        t.b.(i) <- t.b.(i) -. (f *. t.b.(row));
-        if t.b.(i) < 0. && t.b.(i) > -1e-11 then t.b.(i) <- 0.
+        let x = xb.(i) -. (f *. xr) in
+        xb.(i) <- (if x < 0. && x > -1e-11 then 0. else x)
       end
     end
   done;
-  t.basis.(row) <- col
+  st.in_basis.(st.basis.(row)) <- false;
+  st.in_basis.(col) <- true;
+  st.basis.(row) <- col;
+  cnt
 
-(* Reduced costs r_j = c_j - sum_i c_B(i) * T(i,j), and the objective
-   value of the current basic solution, computed from scratch. *)
-let reduced_costs t cost =
-  let r = Array.copy cost in
-  let z = ref 0. in
-  for i = 0 to t.m - 1 do
-    let cb = cost.(t.basis.(i)) in
-    if cb <> 0. then begin
-      z := !z +. (cb *. t.b.(i));
-      let ai = t.a.(i) in
-      for j = 0 to t.ncols - 1 do
-        r.(j) <- r.(j) -. (cb *. ai.(j))
-      done
-    end
-  done;
-  (r, !z)
-
-(* Update the reduced-cost row after a pivot on (row, col): r gets
-   r_col * (pivot row) subtracted. Call AFTER the tableau pivot. *)
-let update_reduced_costs t r ~row ~col =
-  let f = r.(col) in
-  if Float.abs f > eps_zero then begin
-    let arow = t.a.(row) in
-    for j = 0 to t.ncols - 1 do
-      r.(j) <- r.(j) -. (f *. arow.(j))
+let refresh_xb st =
+  let m = st.m in
+  for i = 0 to m - 1 do
+    let base = i * m in
+    let s = ref 0. in
+    for k = 0 to m - 1 do
+      s := !s +. (st.binv.(base + k) *. st.b.(k))
     done;
-    r.(col) <- 0.
-  end
+    st.xb.(i) <- (if !s < 0. && !s > -1e-11 then 0. else !s)
+  done
 
 type phase_result = Phase_optimal | Phase_unbounded
 
-(* Run simplex iterations on the current tableau with the given cost
-   vector until optimal or unbounded, returning the outcome and the
-   number of pivots performed. [allowed col] gates the entering
-   variable (used to keep artificials out in phase 2). Dantzig pricing
-   with a permanent switch to Bland's rule after [stall_limit]
-   consecutive non-improving pivots. *)
-let optimize t cost ~allowed ~max_pivots =
-  let r, _ = reduced_costs t cost in
+(* One simplex phase over the columns [0, limit): Dantzig pricing with
+   a permanent switch to Bland's rule after a stall. Returns the
+   outcome and the number of pivots performed. *)
+let optimize st cost ~limit ~max_pivots =
+  let m = st.m in
+  let y = Array.make m 0. in
+  let w = Array.make m 0. in
   let pivots = ref 0 in
   let stall = ref 0 in
   let bland = ref false in
-  let stall_limit = 20 * (t.m + t.ncols + 10) in
+  let stall_limit = 20 * (m + st.ncols + 10) in
+  btran st cost y;
   let rec loop () =
-    (* Entering column selection. *)
+    (* Entering column: the most negative reduced cost (Dantzig), or
+       under Bland the first negative one. [best] ends as d_q. *)
     let enter = ref (-1) in
-    if !bland then begin
-      (try
-         for j = 0 to t.ncols - 1 do
-           if allowed j && r.(j) < -.eps_rc then begin
-             enter := j;
-             raise Exit
-           end
-         done
-       with Exit -> ())
-    end
-    else begin
-      let best = ref (-.eps_rc) in
-      for j = 0 to t.ncols - 1 do
-        if allowed j && r.(j) < !best then begin
-          best := r.(j);
-          enter := j
+    let best = ref (-.eps_rc) in
+    let j = ref 0 in
+    while !j < limit && not (!bland && !enter >= 0) do
+      let jj = !j in
+      if not st.in_basis.(jj) then begin
+        let r = ref cost.(jj) in
+        for e = st.col_start.(jj) to st.col_start.(jj + 1) - 1 do
+          r := !r -. (y.(st.row_idx.(e)) *. st.vals.(e))
+        done;
+        if !r < !best then begin
+          best := !r;
+          enter := jj
         end
-      done
-    end;
+      end;
+      incr j
+    done;
     if !enter < 0 then Phase_optimal
     else begin
       let col = !enter in
+      let d_q = !best in
+      ftran st col w;
       (* Ratio test; Bland tie-break on basis variable index. *)
       let row = ref (-1) in
       let best_ratio = ref infinity in
-      for i = 0 to t.m - 1 do
-        let aij = t.a.(i).(col) in
-        if aij > eps_piv then begin
-          let ratio = t.b.(i) /. aij in
+      for i = 0 to m - 1 do
+        let wi = w.(i) in
+        if wi > eps_piv then begin
+          let ratio = st.xb.(i) /. wi in
           if
             ratio < !best_ratio -. 1e-12
             || (ratio < !best_ratio +. 1e-12
                && !row >= 0
-               && t.basis.(i) < t.basis.(!row))
+               && st.basis.(i) < st.basis.(!row))
           then begin
             best_ratio := ratio;
             row := i
@@ -164,19 +212,22 @@ let optimize t cost ~allowed ~max_pivots =
       done;
       if !row < 0 then Phase_unbounded
       else begin
-        pivot t ~row:!row ~col;
-        update_reduced_costs t r ~row:!row ~col;
+        let row = !row in
+        let cnt = apply_pivot st ~row ~col w in
+        let base_r = row * m in
+        for t = 0 to cnt - 1 do
+          let k = st.nz.(t) in
+          y.(k) <- y.(k) +. (d_q *. st.binv.(base_r + k))
+        done;
         incr pivots;
-        if !pivots > max_pivots then
-          raise
-            (Qp_util.Qp_error.Error
-               (Internal
-                  (Printf.sprintf "Simplex: pivot budget exceeded (%d pivots)"
-                     max_pivots)));
-        check_deadline ();
+        if !pivots > max_pivots then budget_exceeded max_pivots;
+        Cancel.check_deadline ();
+        if !pivots mod refresh_every = 0 then begin
+          refresh_xb st;
+          btran st cost y
+        end;
         (* Degenerate pivots (zero ratio) do not improve the objective;
-           a long streak of them triggers the switch to Bland's rule,
-           which guarantees termination. *)
+           a long streak of them triggers the switch to Bland's rule. *)
         if !best_ratio <= 1e-12 then begin
           incr stall;
           if !stall > stall_limit then bland := true
@@ -189,6 +240,192 @@ let optimize t cost ~allowed ~max_pivots =
   let result = loop () in
   (result, !pivots)
 
+(* ------------------------------------------------------------------ *)
+(* Problem construction                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Rows with a negative rhs are negated so that b >= 0, which swaps Le
+   and Ge. Column layout: the n structural variables, then one slack
+   (Le, +1) or surplus (Ge, -1) column per inequality row, then one
+   artificial column per Ge/Eq row, all numbered in row order. Each row
+   also names the unit column whose phase-2 reduced cost encodes its
+   dual, with the factor mapping it back to the original orientation:
+   a slack/artificial column e_i gives r = -y_i (factor -1), a surplus
+   column -e_i gives r = +y_i (factor +1), and a negated row flips the
+   factor. [binv] is a buffer of at least m² floats; its first m²
+   become the identity. *)
+let build lp ~binv =
+  let n = Lp.n_vars lp in
+  let rows = Array.of_list (Lp.constraints lp) in
+  let m = Array.length rows in
+  let flipped i = rows.(i).Lp.rhs < 0. in
+  let cmp_of i =
+    match rows.(i).Lp.cmp with
+    | Lp.Le when flipped i -> Lp.Ge
+    | Lp.Ge when flipped i -> Lp.Le
+    | c -> c
+  in
+  let n_slack = ref 0 and n_artificial = ref 0 in
+  for i = 0 to m - 1 do
+    if cmp_of i <> Lp.Eq then incr n_slack;
+    if cmp_of i <> Lp.Le then incr n_artificial
+  done;
+  let first_artificial = n + !n_slack in
+  let ncols = first_artificial + !n_artificial in
+  (* Column counts, then offsets. [Lp.add_constraint] already merged
+     duplicate terms, so each variable appears at most once per row;
+     every slack/surplus/artificial column has exactly one entry. *)
+  let col_start = Array.make (ncols + 1) 0 in
+  Array.iter
+    (fun { Lp.terms; _ } ->
+      List.iter (fun (v, _) -> col_start.(v + 1) <- col_start.(v + 1) + 1) terms)
+    rows;
+  for j = n to ncols - 1 do
+    col_start.(j + 1) <- 1
+  done;
+  for j = 1 to ncols do
+    col_start.(j) <- col_start.(j) + col_start.(j - 1)
+  done;
+  let nnz = col_start.(ncols) in
+  let row_idx = Array.make nnz 0 and vals = Array.make nnz 0. in
+  let next = Array.sub col_start 0 ncols in
+  let push j i a =
+    row_idx.(next.(j)) <- i;
+    vals.(next.(j)) <- a;
+    next.(j) <- next.(j) + 1
+  in
+  let b = Array.make m 0. in
+  let basis = Array.make m (-1) in
+  let row_dual = Array.make m (0, 0.) in
+  let slack_idx = ref n and art_idx = ref first_artificial in
+  (* Rows are visited in order, so every column's entries come out
+     sorted by row. *)
+  for i = 0 to m - 1 do
+    let { Lp.terms; rhs; _ } = rows.(i) in
+    let flip = flipped i in
+    let flip_factor = if flip then -1. else 1. in
+    List.iter (fun (v, c) -> push v i (if flip then -.c else c)) terms;
+    b.(i) <- (if flip then -.rhs else rhs);
+    match cmp_of i with
+    | Lp.Le ->
+        push !slack_idx i 1.;
+        basis.(i) <- !slack_idx;
+        row_dual.(i) <- (!slack_idx, -.flip_factor);
+        incr slack_idx
+    | Lp.Ge ->
+        push !slack_idx i (-1.);
+        row_dual.(i) <- (!slack_idx, flip_factor);
+        incr slack_idx;
+        push !art_idx i 1.;
+        basis.(i) <- !art_idx;
+        incr art_idx
+    | Lp.Eq ->
+        push !art_idx i 1.;
+        basis.(i) <- !art_idx;
+        row_dual.(i) <- (!art_idx, -.flip_factor);
+        incr art_idx
+  done;
+  Array.fill binv 0 (m * m) 0.;
+  for i = 0 to m - 1 do
+    binv.((i * m) + i) <- 1.
+  done;
+  let in_basis = Array.make ncols false in
+  Array.iter (fun c -> in_basis.(c) <- true) basis;
+  let st =
+    {
+      m;
+      ncols;
+      first_artificial;
+      col_start;
+      row_idx;
+      vals;
+      b;
+      binv;
+      xb = Array.copy b;
+      basis;
+      in_basis;
+      nz = Array.make m 0;
+    }
+  in
+  (st, row_dual, !n_artificial)
+
+(* One basis-inverse buffer per domain, reused across solves: the
+   placement pipeline solves many same-shape LPs back to back, and a
+   fresh m² block per solve costs allocation, page faults and peak
+   RSS. The slot is emptied by an atomic exchange while a solve holds
+   the buffer, so a concurrent solve on the same domain (another
+   systhread) allocates its own instead of sharing it. Buffers above
+   [max_retained] floats (2 MB, m > 512) are dropped after the solve,
+   so one large LP does not pin its basis inverse for the life of the
+   domain. *)
+let max_retained = 1 lsl 18
+
+let binv_slot : float array Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [||])
+
+let take_binv size =
+  let buf = Atomic.exchange (Domain.DLS.get binv_slot) [||] in
+  if Array.length buf >= size then buf else Array.make size 0.
+
+let release_binv buf =
+  if Array.length buf <= max_retained then
+    Atomic.set (Domain.DLS.get binv_slot) buf
+
+type basis = int array
+
+(* Crash the columns of a previous optimal basis into the fresh state:
+   each warm column is pivoted in on the unclaimed row where B⁻¹A_c
+   has the largest magnitude. Returns [Some crash_pivots] when the
+   resulting start is primal-feasible (xb >= -1e-7, no artificial
+   carrying weight), so phase 1 can be skipped. Mutates [st]; on
+   failure the caller must rebuild it. *)
+let try_crash st (warm : basis) =
+  let claimed = Array.make st.m false in
+  let w = Array.make st.m 0. in
+  let crash_pivots = ref 0 in
+  Array.iter
+    (fun c ->
+      if c >= 0 && c < st.first_artificial && c < st.ncols then begin
+        if st.in_basis.(c) then begin
+          for i = 0 to st.m - 1 do
+            if st.basis.(i) = c then claimed.(i) <- true
+          done
+        end
+        else begin
+          ftran st c w;
+          let best = ref (-1) in
+          let best_mag = ref 1e-7 in
+          for i = 0 to st.m - 1 do
+            if not claimed.(i) then begin
+              let mag = Float.abs w.(i) in
+              if mag > !best_mag then begin
+                best := i;
+                best_mag := mag
+              end
+            end
+          done;
+          if !best >= 0 then begin
+            ignore (apply_pivot st ~row:!best ~col:c w : int);
+            claimed.(!best) <- true;
+            incr crash_pivots
+          end
+        end
+      end)
+    warm;
+  let feasible = ref true in
+  for i = 0 to st.m - 1 do
+    if st.xb.(i) < -1e-7 then feasible := false
+    else if st.basis.(i) >= st.first_artificial && st.xb.(i) > 1e-7 then
+      feasible := false
+  done;
+  if !feasible then begin
+    for i = 0 to st.m - 1 do
+      if st.xb.(i) < 0. then st.xb.(i) <- 0.
+    done;
+    Some !crash_pivots
+  end
+  else None
+
 type certified = {
   x : float array;
   objective : float;
@@ -197,270 +434,132 @@ type certified = {
 
 type certified_outcome = Certified of certified | C_infeasible | C_unbounded
 
-type basis = int array
-
-(* Crash the columns of a previous optimal basis into the fresh
-   tableau: each warm column is pivoted in on the unclaimed row where
-   it has the largest magnitude. If the resulting basic solution is
-   primal-feasible (b >= -1e-7, no artificial carrying weight), phase 1
-   can be skipped entirely. Mutates [t]; on failure the caller must
-   rebuild the tableau. Returns [Some crash_pivots] on success. *)
-let try_crash_basis t ~first_artificial (warm : basis) =
-  let claimed = Array.make t.m false in
-  let crash_pivots = ref 0 in
-  Array.iter
-    (fun c ->
-      if c >= 0 && c < first_artificial && c < t.ncols then begin
-        let basic_row = ref (-1) in
-        for i = 0 to t.m - 1 do
-          if t.basis.(i) = c then basic_row := i
-        done;
-        if !basic_row >= 0 then claimed.(!basic_row) <- true
-        else begin
-          let best = ref (-1) in
-          let best_mag = ref 1e-7 in
-          for i = 0 to t.m - 1 do
-            if not claimed.(i) then begin
-              let mag = Float.abs t.a.(i).(c) in
-              if mag > !best_mag then begin
-                best := i;
-                best_mag := mag
-              end
-            end
-          done;
-          if !best >= 0 then begin
-            pivot t ~row:!best ~col:c;
-            claimed.(!best) <- true;
-            incr crash_pivots
-          end
-        end
-      end)
-    warm;
-  let feasible = ref true in
-  for i = 0 to t.m - 1 do
-    if t.b.(i) < -1e-7 then feasible := false
-    else if t.basis.(i) >= first_artificial && t.b.(i) > 1e-7 then
-      feasible := false
-  done;
-  if !feasible then begin
-    for i = 0 to t.m - 1 do
-      if t.b.(i) < 0. then t.b.(i) <- 0.
-    done;
-    Some !crash_pivots
-  end
-  else None
-
 (* Internal driver shared by [solve], [solve_certified] and
-   [solve_warm]. Tracks, per original row, the unit column (slack /
-   surplus / artificial) whose phase-2 reduced cost encodes the row's
-   dual multiplier, and the sign mapping back to the original
-   (pre-normalization) orientation. Returns the outcome plus, on
-   optimality, the final basis for warm-starting a nearby LP. *)
+   [solve_warm]: the outcome plus, on optimality, the final basis for
+   warm-starting a nearby LP. *)
 let solve_internal ?max_pivots ?warm lp =
-  check_deadline ();
+  Cancel.check_deadline ();
   let n = Lp.n_vars lp in
-  let rows = Lp.constraints lp in
-  let m = List.length rows in
+  let m = Lp.n_constraints lp in
+  let reg = Obs.Metrics.current () in
   let solves_c =
-    Obs.Metrics.counter ~help:"Two-phase simplex invocations" (Obs.Metrics.current ())
+    Obs.Metrics.counter ~help:"Two-phase simplex invocations" reg
       "qp_simplex_solves_total"
   in
   let pivots_c =
-    Obs.Metrics.counter ~help:"Simplex pivots across both phases" (Obs.Metrics.current ())
+    Obs.Metrics.counter ~help:"Simplex pivots across both phases" reg
       "qp_simplex_pivots_total"
   in
   let warm_attempts_c =
-    Obs.Metrics.counter ~help:"Simplex warm-start attempts" (Obs.Metrics.current ())
+    Obs.Metrics.counter ~help:"Simplex warm-start attempts" reg
       "qp_simplex_warm_attempts_total"
   in
   let warm_used_c =
     Obs.Metrics.counter
-      ~help:"Simplex solves where the crash basis skipped phase 1"
-      (Obs.Metrics.current ()) "qp_simplex_warm_used_total"
+      ~help:"Simplex solves where the crash basis skipped phase 1" reg
+      "qp_simplex_warm_used_total"
   in
   Obs.Metrics.inc solves_c;
   let total_pivots = ref 0 in
-  let count_pivots k = total_pivots := !total_pivots + k in
+  let count k = total_pivots := !total_pivots + k in
   Obs.Span.with_ "simplex"
     ~attrs:[ ("vars", Obs.Json.Int n); ("rows", Obs.Json.Int m) ]
   @@ fun () ->
-  let finish outcome =
+  let binv = take_binv (m * m) in
+  let finish outcome basis =
+    release_binv binv;
     Obs.Metrics.add pivots_c (float_of_int !total_pivots);
     Obs.Span.add_attr "pivots" (Obs.Json.Int !total_pivots);
-    outcome
+    (outcome, basis)
   in
   let max_pivots =
     match max_pivots with Some v -> v | None -> 50_000 + (50 * (m + n))
   in
-  (* Normalize rows to non-negative rhs and count extra columns. *)
-  let normalized =
-    List.map
-      (fun { Lp.terms; cmp; rhs } ->
-        if rhs < 0. then
-          let terms = List.map (fun (v, c) -> (v, -.c)) terms in
-          let cmp = match cmp with Lp.Le -> Lp.Ge | Lp.Ge -> Lp.Le | Lp.Eq -> Lp.Eq in
-          (terms, cmp, -.rhs)
-        else (terms, cmp, rhs))
-      rows
-  in
-  let n_slack =
-    List.length (List.filter (fun (_, c, _) -> c <> Lp.Eq) normalized)
-  in
-  let n_artificial =
-    List.length (List.filter (fun (_, c, _) -> c <> Lp.Le) normalized)
-  in
-  let ncols = n + n_slack + n_artificial in
-  let path = choose_path ~m ~ncols in
-  Atomic.set last_path_v path;
-  Obs.Span.add_attr "path"
-    (Obs.Json.String (match path with Dense -> "dense" | Revised -> "revised"));
-  match path with
-  | Revised -> (
-      let result, pivots, warm_used = Revised.solve ?warm ~max_pivots lp in
-      (match warm with
-      | Some wb when Array.length wb > 0 ->
-          Obs.Metrics.inc warm_attempts_c;
-          if warm_used then Obs.Metrics.inc warm_used_c
-      | _ -> ());
-      count_pivots pivots;
-      match result with
-      | Revised.R_infeasible -> (finish C_infeasible, None)
-      | Revised.R_unbounded -> (finish C_unbounded, None)
-      | Revised.R_optimal { x; objective; duals; basis } ->
-          (finish (Certified { x; objective; duals }), Some basis))
-  | Dense ->
-  let first_artificial = n + n_slack in
-  let flipped = List.map2 (fun { Lp.rhs; _ } (_, _, rhs') -> rhs < 0. && rhs' > 0.) rows
-      normalized in
-  (* Tableau construction is a function because a failed warm-start
-     crash leaves the tableau mutated and the cold path needs a fresh
-     one. *)
-  let build () =
-    let a = Array.init m (fun _ -> Array.make ncols 0.) in
-    let b = Array.make m 0. in
-    let basis = Array.make m (-1) in
-    let slack_idx = ref n in
-    let art_idx = ref first_artificial in
-    (* (unit column, factor): original dual = factor * reduced_cost(col)
-       under the phase-2 objective. A slack/artificial column e_i gives
-       r = -y_i (factor -1); a surplus column -e_i gives r = +y_i
-       (factor +1). A row negated during normalization flips the
-       factor. *)
-    let row_dual = Array.make m (0, 0.) in
-    List.iteri
-      (fun i (terms, cmp, rhs) ->
-        let flip_factor = if List.nth flipped i then -1. else 1. in
-        List.iter (fun (v, c) -> a.(i).(v) <- a.(i).(v) +. c) terms;
-        b.(i) <- rhs;
-        (match cmp with
-        | Lp.Le ->
-            a.(i).(!slack_idx) <- 1.;
-            basis.(i) <- !slack_idx;
-            row_dual.(i) <- (!slack_idx, -1. *. flip_factor);
-            incr slack_idx
-        | Lp.Ge ->
-            a.(i).(!slack_idx) <- -1.;
-            row_dual.(i) <- (!slack_idx, 1. *. flip_factor);
-            incr slack_idx;
-            a.(i).(!art_idx) <- 1.;
-            basis.(i) <- !art_idx;
-            incr art_idx
-        | Lp.Eq ->
-            a.(i).(!art_idx) <- 1.;
-            basis.(i) <- !art_idx;
-            row_dual.(i) <- (!art_idx, -1. *. flip_factor);
-            incr art_idx))
-      normalized;
-    ({ m; ncols; a; b; basis }, row_dual)
-  in
-  let t0, row_dual0 = build () in
-  let t, row_dual, warm_ok =
+  let st0, row_dual, n_artificial = build lp ~binv in
+  let st, warm_used =
     match warm with
-    | Some wb when Array.length wb > 0 ->
+    | Some wb when Array.length wb > 0 -> (
         Obs.Metrics.inc warm_attempts_c;
-        (match try_crash_basis t0 ~first_artificial wb with
+        match try_crash st0 wb with
         | Some crash_pivots ->
             Obs.Metrics.inc warm_used_c;
-            count_pivots crash_pivots;
-            (t0, row_dual0, true)
+            count crash_pivots;
+            (st0, true)
         | None ->
-            let t1, row_dual1 = build () in
-            (t1, row_dual1, false))
-    | _ -> (t0, row_dual0, false)
+            (* The failed crash left binv/xb/basis mutated; rebuild. *)
+            let st1, _, _ = build lp ~binv in
+            (st1, false))
+    | _ -> (st0, false)
   in
   (* Phase 1: minimize the sum of artificials. Skipped when the crash
      basis already reached a primal-feasible start. *)
-  (if n_artificial > 0 && not warm_ok then begin
-     let cost1 = Array.make ncols 0. in
-     for j = first_artificial to ncols - 1 do
-       cost1.(j) <- 1.
-     done;
-     match optimize t cost1 ~allowed:(fun _ -> true) ~max_pivots with
-     | Phase_unbounded, _ -> assert false (* phase-1 objective bounded below by 0 *)
-     | Phase_optimal, k -> count_pivots k
+  (if n_artificial > 0 && not warm_used then begin
+     let cost1 = Array.make st.ncols 0. in
+     Array.fill cost1 st.first_artificial n_artificial 1.;
+     match optimize st cost1 ~limit:st.ncols ~max_pivots with
+     | Phase_unbounded, _ -> assert false (* bounded below by 0 *)
+     | Phase_optimal, k -> count k
    end);
   let phase1_value =
     let v = ref 0. in
-    for i = 0 to t.m - 1 do
-      if t.basis.(i) >= first_artificial then v := !v +. t.b.(i)
+    for i = 0 to st.m - 1 do
+      if st.basis.(i) >= st.first_artificial then v := !v +. st.xb.(i)
     done;
     !v
   in
-  if n_artificial > 0 && (not warm_ok) && phase1_value > 1e-7 then
-    (finish C_infeasible, None)
+  if n_artificial > 0 && (not warm_used) && phase1_value > 1e-7 then
+    finish C_infeasible None
   else begin
-    (* Drive any residual artificial out of the basis; rows where that
-       is impossible are redundant and are dropped. *)
-    let keep = Array.make t.m true in
-    for i = 0 to t.m - 1 do
-      if t.basis.(i) >= first_artificial then begin
+    (* Drive residual zero-level artificials out of the basis where
+       possible. A row r admitting no real pivot column has
+       (B⁻¹A)_r,j = 0 for every j < first_artificial, so every future
+       entering direction has w_r = 0 there: the row is inert (it
+       encodes a redundant constraint) and the artificial stays parked
+       at zero, keeping row indexing stable for the duals. *)
+    let w = Array.make st.m 0. in
+    for r = 0 to st.m - 1 do
+      if st.basis.(r) >= st.first_artificial then begin
         let found = ref false in
         let j = ref 0 in
-        while (not !found) && !j < first_artificial do
-          if Float.abs t.a.(i).(!j) > 1e-7 then begin
-            pivot t ~row:i ~col:!j;
+        while (not !found) && !j < st.first_artificial do
+          if
+            (not st.in_basis.(!j))
+            && Float.abs (dot st st.binv (r * st.m) !j) > 1e-7
+          then begin
+            ftran st !j w;
+            ignore (apply_pivot st ~row:r ~col:!j w : int);
             found := true
           end;
           incr j
         done;
-        if not !found then keep.(i) <- false
+        if (not !found) && st.xb.(r) < 0. then st.xb.(r) <- 0.
       end
     done;
-    (* Compact dropped rows. *)
-    let dst = ref 0 in
-    for i = 0 to t.m - 1 do
-      if keep.(i) then begin
-        if !dst <> i then begin
-          t.a.(!dst) <- t.a.(i);
-          t.b.(!dst) <- t.b.(i);
-          t.basis.(!dst) <- t.basis.(i)
-        end;
-        incr dst
-      end
-    done;
-    t.m <- !dst;
     (* Phase 2. *)
-    let cost2 = Array.make ncols 0. in
-    let obj = Lp.objective lp in
-    Array.blit obj 0 cost2 0 n;
-    let allowed j = j < first_artificial in
-    match optimize t cost2 ~allowed ~max_pivots with
+    let cost2 = Array.make st.ncols 0. in
+    Array.blit (Lp.objective lp) 0 cost2 0 n;
+    match optimize st cost2 ~limit:st.first_artificial ~max_pivots with
     | Phase_unbounded, k ->
-        count_pivots k;
-        (finish C_unbounded, None)
+        count k;
+        finish C_unbounded None
     | Phase_optimal, k ->
-        count_pivots k;
+        count k;
         let x = Array.make n 0. in
-        for i = 0 to t.m - 1 do
-          if t.basis.(i) < n then x.(t.basis.(i)) <- t.b.(i)
+        for i = 0 to st.m - 1 do
+          if st.basis.(i) < n then x.(st.basis.(i)) <- st.xb.(i)
         done;
         (* Clean tiny negatives from roundoff. *)
         Array.iteri (fun i xi -> if xi < 0. && xi > -1e-9 then x.(i) <- 0.) x;
         let objective = Lp.objective_value lp x in
         assert (Lp.is_feasible ~tol:1e-6 lp x);
-        let r, _ = reduced_costs t cost2 in
-        let duals = Array.map (fun (col, factor) -> factor *. r.(col)) row_dual in
-        (finish (Certified { x; objective; duals }), Some (Array.sub t.basis 0 t.m))
+        let y = Array.make st.m 0. in
+        btran st cost2 y;
+        let duals =
+          Array.map
+            (fun (col, factor) -> factor *. (cost2.(col) -. dot st y 0 col))
+            row_dual
+        in
+        finish (Certified { x; objective; duals }) (Some (Array.copy st.basis))
   end
 
 let solve ?max_pivots lp =

@@ -1,14 +1,10 @@
-(** Two-phase primal simplex.
+(** Two-phase revised simplex.
 
     Exact enough for the paper's placement LPs: Dantzig pricing for
     speed with a switch to Bland's rule after a stall to rule out
-    cycling, and a phase-1 artificial-variable start. Two storage
-    paths sit behind {!solve}: the historical dense tableau, and a
-    {!Revised} path (sparse columns + explicit basis inverse) that
-    avoids materializing the tableau. {!solve} auto-selects by problem
-    shape — dense below [m * ncols = 8e6] cells, revised above — so
-    seed-size LPs keep their historical pivot sequences bit-for-bit
-    while large instances stop paying O(m·ncols) per pivot
+    cycling, and a phase-1 artificial-variable start. The constraint
+    matrix is kept as sparse columns and only the m x m basis inverse
+    is updated per pivot, so no m x ncols tableau is ever built
     (DESIGN.md §15, "Scaling the solve core"). *)
 
 type outcome =
@@ -24,16 +20,6 @@ val solve : ?max_pivots:int -> Lp.t -> outcome
     [Optimal], the returned point satisfies every row to within [1e-6]
     relative tolerance — asserted internally. *)
 
-type path = Dense | Revised
-
-val set_forced_path : path option -> unit
-(** Override the shape-based path choice (process-wide; test hook).
-    [None] restores auto-selection. *)
-
-val last_path : unit -> path
-(** The path chosen by the most recent solve (any domain) —
-    introspection for tests and bench asserts. *)
-
 type basis
 (** Opaque snapshot of the final simplex basis of an optimal solve:
     the handle for warm-starting a structurally identical LP whose
@@ -44,11 +30,11 @@ val solve_warm :
 (** Like {!solve}, and additionally returns the final basis on
     [Optimal] for reuse. With [~warm] (a basis from a previous solve of
     an LP with the same variable/constraint layout), the solver crashes
-    those columns into the fresh tableau first; if the crash start is
+    those columns into the fresh basis first; if the crash start is
     primal-feasible, phase 1 is skipped entirely and small deltas
     re-solve in far fewer pivots. If the crash start is infeasible —
     the delta moved the optimum across a facet, or the LP shapes do not
-    match — the tableau is rebuilt and the ordinary cold two-phase path
+    match — the basis is rebuilt and the ordinary cold two-phase path
     runs, so the outcome (objective, feasibility classification) is
     always identical to {!solve} up to the usual pivot-order float
     noise. Warm attempts and successes are counted in the
@@ -82,7 +68,7 @@ type certified_outcome = Certified of certified | C_infeasible | C_unbounded
 
 val solve_certified : ?max_pivots:int -> Lp.t -> certified_outcome
 (** Like {!solve} but also extracts the optimal dual multipliers from
-    the final tableau, giving a machine-checkable optimality
+    the final basis, giving a machine-checkable optimality
     certificate (see {!check_certificate}). Convention for
     [min c.x, x >= 0]: a [<=] row has [y <= 0], a [>=] row has
     [y >= 0], an [=] row is free; dual feasibility is

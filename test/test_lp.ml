@@ -157,6 +157,14 @@ let random_feasible_lp seed =
   done;
   (lp, witness)
 
+(* The same LP made infeasible by two contradictory rows on top
+   (every generated LP has at least two variables). *)
+let plant_infeasible lp =
+  let terms = [ (0, 1.); (1, 1.) ] in
+  Lp.add_constraint lp terms Lp.Le 1.;
+  Lp.add_constraint lp terms Lp.Ge 3.;
+  lp
+
 (* Two LPs with identical variable/constraint layout whose right-hand
    sides differ by a small random delta — the shape of an instance
    update reaching the solver. *)
@@ -233,16 +241,19 @@ let test_warm_identity () =
       | _ -> Alcotest.fail "warm re-solve not optimal")
   | _ -> Alcotest.fail "cold solve not optimal"
 
+(* A witness LP is feasible (the witness) and bounded (objective >= 0
+   on x >= 0), so it must solve to an optimum no worse than the
+   witness; its planted-infeasible copy must be classified as such. *)
 let prop_simplex_beats_witness =
   QCheck.Test.make ~name:"simplex optimum feasible and <= witness" ~count:150
     QCheck.small_int (fun seed ->
       let lp, witness = random_feasible_lp seed in
-      match Simplex.solve lp with
-      | Simplex.Infeasible -> false (* witness proves feasibility *)
-      | Simplex.Unbounded -> true (* possible: random rows may leave a ray *)
+      (match Simplex.solve lp with
+      | Simplex.Infeasible | Simplex.Unbounded -> false
       | Simplex.Optimal { x; objective } ->
           Lp.is_feasible ~tol:1e-5 lp x
           && objective <= Lp.objective_value lp witness +. 1e-6)
+      && Simplex.solve (plant_infeasible lp) = Simplex.Infeasible)
 
 (* Brute-force cross-check on tiny 2-var LPs: sample a dense grid of
    points; every feasible grid point must be >= the simplex optimum. *)
@@ -351,13 +362,15 @@ let test_certificate_rejects_wrong_duals () =
     (Simplex.check_certificate lp fake)
 
 let prop_certificates_verify =
-  QCheck.Test.make ~name:"every optimal solve yields a valid certificate" ~count:120
+  QCheck.Test.make ~name:"every optimal solve yields a valid certificate" ~count:200
     QCheck.small_int (fun seed ->
-      let lp, _ = random_feasible_lp (seed + 4000) in
-      match Simplex.solve_certified lp with
-      | Simplex.C_infeasible -> false
-      | Simplex.C_unbounded -> true
-      | Simplex.Certified c -> Simplex.check_certificate lp c)
+      let lp, witness = random_feasible_lp (seed + 4000) in
+      (match Simplex.solve_certified lp with
+      | Simplex.C_infeasible | Simplex.C_unbounded -> false
+      | Simplex.Certified c ->
+          Simplex.check_certificate lp c
+          && c.Simplex.objective <= Lp.objective_value lp witness +. 1e-6)
+      && Simplex.solve_certified (plant_infeasible lp) = Simplex.C_infeasible)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest

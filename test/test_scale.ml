@@ -1,8 +1,8 @@
 (* Solve-core scaling layer (DESIGN.md section 15): the flat Bigarray
-   metric representation, the revised-simplex path, and the exact tree
-   specialist behind the registry's auto dispatch. Every property here
-   pins a NEW code path to an OLD oracle: flat vs boxed APSP, revised
-   vs dense simplex, branch-and-bound vs exhaustive search. *)
+   metric representation and the exact tree specialist behind the
+   registry's auto dispatch. Every property here pins a NEW code path
+   to an OLD oracle: flat vs boxed APSP, branch-and-bound vs
+   exhaustive search. *)
 
 module Rng = Qp_util.Rng
 module Qp_error = Qp_util.Qp_error
@@ -167,85 +167,6 @@ let test_apsp_cache_bytes () =
   Alcotest.(check int) "reset zeroes the gauge" 0 (Metric.apsp_cache_bytes ())
 
 (* ------------------------------------------------------------------ *)
-(* Revised simplex vs the dense tableau                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Same construction as test_lp's witness generator: feasible by
-   construction (a witness point exists), bounded below by the
-   non-negative objective on Le/Eq-dominated instances — though random
-   rows may still leave a ray, which both paths must agree on. *)
-let random_witness_lp seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let m = 2 + Rng.int rng 8 in
-  let witness = Array.init n (fun _ -> Rng.float rng 5.) in
-  let lp = Lp.create n in
-  for v = 0 to n - 1 do
-    Lp.set_objective lp v (Rng.float rng 3.)
-  done;
-  for _ = 1 to m do
-    let terms = List.init n (fun v -> (v, Rng.float rng 4. -. 2.)) in
-    let lhs = Lp.eval_terms terms witness in
-    match Rng.int rng 3 with
-    | 0 -> Lp.add_constraint lp terms Lp.Le (lhs +. Rng.float rng 2.)
-    | 1 -> Lp.add_constraint lp terms Lp.Ge (lhs -. Rng.float rng 2.)
-    | _ -> Lp.add_constraint lp terms Lp.Eq lhs
-  done;
-  lp
-
-(* The same LP made infeasible: two contradictory rows on top. *)
-let random_infeasible_lp seed =
-  let lp = random_witness_lp seed in
-  let terms = [ (0, 1.); (1, 1.) ] in
-  Lp.add_constraint lp terms Lp.Le 1.;
-  Lp.add_constraint lp terms Lp.Ge 3.;
-  lp
-
-let solve_forced path lp =
-  Fun.protect
-    ~finally:(fun () -> Simplex.set_forced_path None)
-    (fun () ->
-      Simplex.set_forced_path (Some path);
-      let outcome = Simplex.solve lp in
-      Alcotest.(check bool) "forced path taken" true
-        (Simplex.last_path () = path);
-      outcome)
-
-let same_classification a b =
-  match (a, b) with
-  | Simplex.Optimal { objective = a; _ }, Simplex.Optimal { objective = b; _ }
-    ->
-      Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs a)
-  | Simplex.Infeasible, Simplex.Infeasible -> true
-  | Simplex.Unbounded, Simplex.Unbounded -> true
-  | _ -> false
-
-let prop_revised_equals_dense =
-  QCheck.Test.make ~name:"revised simplex = dense tableau on random LPs"
-    ~count:200 QCheck.small_int (fun seed ->
-      let lp () = random_witness_lp (seed + 3000) in
-      same_classification (solve_forced Simplex.Dense (lp ()))
-        (solve_forced Simplex.Revised (lp ())))
-
-let prop_revised_equals_dense_infeasible =
-  QCheck.Test.make ~name:"revised simplex = dense tableau on infeasible LPs"
-    ~count:100 QCheck.small_int (fun seed ->
-      let lp () = random_infeasible_lp (seed + 4000) in
-      let dense = solve_forced Simplex.Dense (lp ()) in
-      let revised = solve_forced Simplex.Revised (lp ()) in
-      dense = Simplex.Infeasible && same_classification dense revised)
-
-(* Auto-selection: seed-size problems must keep taking the dense path
-   (byte-identity with the historical pivots), small LPs never flip to
-   the revised path behind the caller's back. *)
-let test_small_lp_stays_dense () =
-  let lp = random_witness_lp 42 in
-  Simplex.set_forced_path None;
-  let (_ : Simplex.outcome) = Simplex.solve lp in
-  Alcotest.(check bool) "small LP solved on the dense path" true
-    (Simplex.last_path () = Simplex.Dense)
-
-(* ------------------------------------------------------------------ *)
 (* Exact tree specialist and the auto dispatcher                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -405,7 +326,6 @@ let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_flat_equals_boxed_dijkstra; prop_blocked_fw_equals_boxed;
       prop_blocked_fw_multiblock; prop_dijkstra_into_equals_boxed;
-      prop_revised_equals_dense; prop_revised_equals_dense_infeasible;
       prop_tree_equals_exhaustive; prop_tree_no_worse_than_lp ]
 
 let suites =
@@ -413,8 +333,6 @@ let suites =
     ( "scale.core",
       [
         Alcotest.test_case "apsp cache bytes" `Quick test_apsp_cache_bytes;
-        Alcotest.test_case "small LP stays dense" `Quick
-          test_small_lp_stays_dense;
         Alcotest.test_case "auto dispatches tree" `Quick
           test_auto_dispatches_tree;
         Alcotest.test_case "auto on general metric" `Quick

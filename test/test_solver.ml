@@ -217,6 +217,24 @@ let prop_load_bounds =
                   | Ok o -> o.Outcome.load_violation <= bound +. 1e-9))
             (Solver.all ()))
 
+(* The default-seed `qplace solve` (test/golden pins its bytes) does a
+   fixed amount of simplex work. Pinning the pivot total makes any
+   change to the LP core show up here as a reviewed number. *)
+let test_seed_solve_pivots () =
+  let reg = Qp_obs.Metrics.create ~enabled:true () in
+  let (_ : Outcome.t) =
+    Qp_obs.Metrics.with_current reg (fun () ->
+        let spec = Spec.default in
+        let params =
+          Qp_serve.Protocol.solver_params spec Qp_serve.Protocol.default_options
+        in
+        ok_exn ((ok_exn (Solver.find "lp")).Solver.solve params
+                  (ok_exn (Spec.build spec))))
+  in
+  let counter name = Qp_obs.Metrics.counter_value (Qp_obs.Metrics.counter reg name) in
+  Alcotest.(check (float 0.)) "simplex solves" 16. (counter "qp_simplex_solves_total");
+  Alcotest.(check (float 0.)) "simplex pivots" 6482. (counter "qp_simplex_pivots_total")
+
 let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ prop_load_bounds ]
 
 let suites =
@@ -233,6 +251,7 @@ let suites =
           test_solve_many_matches_sequential;
         Alcotest.test_case "registry table" `Quick test_registry_table;
         Alcotest.test_case "README table in sync" `Quick test_readme_in_sync;
+        Alcotest.test_case "seed solve pivot total" `Quick test_seed_solve_pivots;
       ] );
     ("solver.properties", qcheck_tests);
   ]
