@@ -694,6 +694,9 @@ let e10 () =
 
 let e11 () =
   section "E11  Fault injection: availability under node failures, with retries";
+  let module Engine = Qp_runtime.Engine in
+  let module Retry = Qp_runtime.Retry in
+  let module Failure = Qp_runtime.Failure in
   let rng = Rng.create 61 in
   let n = 12 in
   let graph = topology "geometric" rng n in
@@ -710,24 +713,24 @@ let e11 () =
         ("availability", Table.Right); ("iid prediction", Table.Right);
         ("mean delay (ok)", Table.Right); ("mean attempts", Table.Right) ]
   in
+  (* The static baseline: the engine with a fixed strategy, blind
+     retries and no repair. *)
+  let static_cfg failure =
+    {
+      (Engine.default_config ~adaptive:false ~problem ~placement ~failure ()) with
+      Engine.accesses_per_client = 1500;
+    }
+  in
   List.iter
     (fun (p, attempts) ->
-      let base =
-        Qp_sim.Fault_sim.default_config ~problem ~placement
-          ~failure_model:(Qp_sim.Fault_sim.Static p)
-      in
+      let base = static_cfg (Failure.Static p) in
       let cfg =
-        {
-          base with
-          Qp_sim.Fault_sim.retry =
-            { base.Qp_sim.Fault_sim.retry with Qp_runtime.Retry.max_attempts = attempts };
-          accesses_per_client = 1500;
-        }
+        { base with Engine.retry = { base.Engine.retry with Retry.max_attempts = attempts } }
       in
-      let r = Qp_sim.Fault_sim.run cfg in
-      Table.add_rowf tbl "%.2f|%d|%.4f|%.4f|%.3f|%.2f" p attempts
-        r.Qp_sim.Fault_sim.availability r.Qp_sim.Fault_sim.predicted_success
-        r.Qp_sim.Fault_sim.mean_delay_success r.Qp_sim.Fault_sim.mean_attempts)
+      let r = Engine.run cfg in
+      Table.add_rowf tbl "%.2f|%d|%.4f|%.4f|%.3f|%.2f" p attempts r.Engine.availability
+        (Engine.predicted_availability cfg) r.Engine.mean_delay_success
+        r.Engine.mean_attempts)
     [ (0.05, 1); (0.05, 3); (0.2, 1); (0.2, 3); (0.4, 1); (0.4, 3); (0.4, 5) ];
   Table.print tbl;
   let tbl2 =
@@ -737,16 +740,10 @@ let e11 () =
   in
   List.iter
     (fun (mtbf, mttr) ->
-      let cfg =
-        {
-          (Qp_sim.Fault_sim.default_config ~problem ~placement
-             ~failure_model:(Qp_sim.Fault_sim.Dynamic { mtbf; mttr })) with
-          Qp_sim.Fault_sim.accesses_per_client = 1500;
-        }
-      in
-      let r = Qp_sim.Fault_sim.run cfg in
+      let cfg = static_cfg (Failure.Dynamic { mtbf; mttr }) in
+      let r = Engine.run cfg in
       Table.add_rowf tbl2 "%.0f/%.0f|%.3f|%.4f|%.4f" mtbf mttr (mtbf /. (mtbf +. mttr))
-        r.Qp_sim.Fault_sim.availability r.Qp_sim.Fault_sim.predicted_success)
+        r.Engine.availability (Engine.predicted_availability cfg))
     [ (95., 5.); (80., 20.); (60., 40.) ];
   Table.print tbl2;
   print_endline
@@ -998,11 +995,6 @@ let e16 () =
     Retry.fixed ~timeout:(4. *. Metric.diameter problem.Problem.metric) ~max_attempts:3
   in
   let accesses = 600 in
-  let static_run fm =
-    let base = Qp_sim.Fault_sim.default_config ~problem ~placement ~failure_model:fm in
-    Qp_sim.Fault_sim.run
-      { base with Qp_sim.Fault_sim.retry; accesses_per_client = accesses; seed = 5 }
-  in
   let engine_run ?repair ~adaptive fm =
     let base = Engine.default_config ~adaptive ?repair ~problem ~placement ~failure:fm () in
     Engine.run { base with Engine.retry; accesses_per_client = accesses; seed = 5 }
@@ -1029,13 +1021,13 @@ let e16 () =
   List.iter
     (fun (mtbf, mttr) ->
       let fm = Failure.Dynamic { mtbf; mttr } in
-      let s = static_run fm in
+      let s = engine_run ~adaptive:false fm in
       let a = engine_run ~adaptive:true fm in
       Table.add_rowf tbl "%.0f/%.0f|%.3f|%.4f|%.4f|%+.4f|%.3f|%.3f" mtbf mttr
         (Failure.node_availability fm)
-        s.Qp_sim.Fault_sim.availability a.Engine.availability
-        (a.Engine.availability -. s.Qp_sim.Fault_sim.availability)
-        s.Qp_sim.Fault_sim.mean_delay_success a.Engine.mean_delay_success)
+        s.Engine.availability a.Engine.availability
+        (a.Engine.availability -. s.Engine.availability)
+        s.Engine.mean_delay_success a.Engine.mean_delay_success)
     [ (85., 15.); (80., 20.); (60., 40.); (40., 40.) ];
   Table.print tbl;
   (* The full loop: hedged retries + automatic placement repair. *)

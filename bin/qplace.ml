@@ -304,27 +304,28 @@ let faults_cmd (c : common) p attempts =
   @@ fun () ->
   let* problem = Spec.build c.spec in
   let* outcome = solver.Solver.solve (params_of c ~alpha:2.) problem in
+  let module Engine = Qp_runtime.Engine in
+  (* The static baseline: fixed strategy, blind retries, no repair. *)
   let base =
-    Qp_sim.Fault_sim.default_config ~problem
+    Engine.default_config ~adaptive:false ~problem
       ~placement:outcome.Outcome.placement
-      ~failure_model:(Qp_sim.Fault_sim.Static p)
+      ~failure:(Qp_runtime.Failure.Static p) ()
   in
   let cfg =
     {
       base with
-      Qp_sim.Fault_sim.retry =
-        { base.Qp_sim.Fault_sim.retry with Qp_runtime.Retry.max_attempts = attempts };
+      Engine.retry = { base.Engine.retry with Qp_runtime.Retry.max_attempts = attempts };
       accesses_per_client = 1000;
       seed = c.spec.Spec.seed;
     }
   in
-  let fr = Qp_sim.Fault_sim.run cfg in
-  let open Qp_sim.Fault_sim in
-  Printf.printf "accesses:        %d\n" fr.n_accesses;
-  Printf.printf "availability:    %.4f (iid prediction %.4f)\n" fr.availability
-    fr.predicted_success;
-  Printf.printf "mean delay (ok): %.4f\n" fr.mean_delay_success;
-  Printf.printf "mean attempts:   %.2f\n" fr.mean_attempts;
+  let* () = Qp_error.of_invalid_arg (fun () -> Engine.validate cfg) in
+  let r = Engine.run cfg in
+  Printf.printf "accesses:        %d\n" r.Engine.n_accesses;
+  Printf.printf "availability:    %.4f (iid prediction %.4f)\n" r.Engine.availability
+    (Engine.predicted_availability cfg);
+  Printf.printf "mean delay (ok): %.4f\n" r.Engine.mean_delay_success;
+  Printf.printf "mean attempts:   %.2f\n" r.Engine.mean_attempts;
   Ok ()
 
 let resilience_cmd (c : common) mtbf mttr attempts accesses hedge no_repair =
@@ -343,26 +344,30 @@ let resilience_cmd (c : common) mtbf mttr attempts accesses hedge no_repair =
   let module Engine = Qp_runtime.Engine in
   let failure = Failure.Dynamic { mtbf; mttr } in
   let timeout = 4. *. Qp_graph.Metric.diameter problem.Problem.metric in
-  let retry =
-    if hedge then
-      Retry.exponential ~jitter:0.2 ~hedge_after:(0.5 *. timeout) ~timeout
-        ~base:(0.2 *. timeout) ~max_attempts:attempts ()
-    else Retry.fixed ~timeout ~max_attempts:attempts
+  let* static_cfg, cfg =
+    Qp_error.of_invalid_arg (fun () ->
+        let fixed = Retry.fixed ~timeout ~max_attempts:attempts in
+        let retry =
+          if hedge then
+            Retry.exponential ~jitter:0.2 ~hedge_after:(0.5 *. timeout) ~timeout
+              ~base:(0.2 *. timeout) ~max_attempts:attempts ()
+          else fixed
+        in
+        (* Static baseline at the same retry budget and failure trajectory. *)
+        let static_cfg =
+          { (Engine.default_config ~adaptive:false ~problem ~placement ~failure ()) with
+            Engine.retry = fixed; accesses_per_client = accesses; seed }
+        in
+        let cfg =
+          { (Engine.default_config ~adaptive:true
+               ?repair:(if no_repair then None else Some Engine.default_trigger)
+               ~problem ~placement ~failure ()) with
+            Engine.retry; accesses_per_client = accesses; seed }
+        in
+        List.iter Engine.validate [ static_cfg; cfg ];
+        (static_cfg, cfg))
   in
-  (* Static baseline at the same retry budget and failure trajectory. *)
-  let sr =
-    Qp_sim.Fault_sim.run
-      { (Qp_sim.Fault_sim.default_config ~problem ~placement ~failure_model:failure) with
-        Qp_sim.Fault_sim.retry = Retry.fixed ~timeout ~max_attempts:attempts;
-        accesses_per_client = accesses;
-        seed }
-  in
-  let cfg =
-    { (Engine.default_config ~adaptive:true
-         ?repair:(if no_repair then None else Some Engine.default_trigger)
-         ~problem ~placement ~failure ()) with
-      Engine.retry; accesses_per_client = accesses; seed }
-  in
+  let sr = Engine.run static_cfg in
   let er = Engine.run cfg in
   Printf.printf "dynamic churn: mtbf %.1f, mttr %.1f (node availability %.3f)\n" mtbf
     mttr (Failure.node_availability failure);
@@ -372,11 +377,11 @@ let resilience_cmd (c : common) mtbf mttr attempts accesses hedge no_repair =
     Table.create ~title:"static baseline vs closed-loop engine"
       [ ("metric", Table.Left); ("static", Table.Right); ("engine", Table.Right) ]
   in
-  Table.add_rowf tbl "availability|%.4f|%.4f" sr.Qp_sim.Fault_sim.availability
+  Table.add_rowf tbl "availability|%.4f|%.4f" sr.Engine.availability
     er.Engine.availability;
-  Table.add_rowf tbl "mean delay (ok)|%.4f|%.4f" sr.Qp_sim.Fault_sim.mean_delay_success
+  Table.add_rowf tbl "mean delay (ok)|%.4f|%.4f" sr.Engine.mean_delay_success
     er.Engine.mean_delay_success;
-  Table.add_rowf tbl "mean attempts|%.2f|%.2f" sr.Qp_sim.Fault_sim.mean_attempts
+  Table.add_rowf tbl "mean attempts|%.2f|%.2f" sr.Engine.mean_attempts
     er.Engine.mean_attempts;
   Table.print tbl;
   Printf.printf "analytic failure-free delay: %.4f\n" er.Engine.analytic_delay;
@@ -461,16 +466,21 @@ let churn_cmd (c : common) mtbf mttr attempts accesses bound =
   let module Engine = Qp_runtime.Engine in
   let failure = Failure.Dynamic { mtbf; mttr } in
   let timeout = 4. *. Qp_graph.Metric.diameter problem.Problem.metric in
-  let retry = Retry.fixed ~timeout ~max_attempts:attempts in
-  let cfg migration =
-    { (Engine.default_config ~adaptive:true ~repair:Engine.default_trigger
-         ?migration ~problem ~placement ~failure ()) with
-      Engine.retry; accesses_per_client = accesses; seed }
+  let* greedy_cfg, migr_cfg =
+    Qp_error.of_invalid_arg (fun () ->
+        let retry = Retry.fixed ~timeout ~max_attempts:attempts in
+        let cfg migration =
+          { (Engine.default_config ~adaptive:true ~repair:Engine.default_trigger
+               ?migration ~problem ~placement ~failure ()) with
+            Engine.retry; accesses_per_client = accesses; seed }
+        in
+        let greedy_cfg = cfg None in
+        let migr_cfg = cfg (Some { Engine.default_migration with Engine.bound }) in
+        List.iter Engine.validate [ greedy_cfg; migr_cfg ];
+        (greedy_cfg, migr_cfg))
   in
-  let greedy = Engine.run (cfg None) in
-  let migr =
-    Engine.run (cfg (Some { Engine.default_migration with Engine.bound }))
-  in
+  let greedy = Engine.run greedy_cfg in
+  let migr = Engine.run migr_cfg in
   Printf.printf "dynamic churn: mtbf %.1f, mttr %.1f (node availability %.3f)\n"
     mtbf mttr (Failure.node_availability failure);
   let tbl =

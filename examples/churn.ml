@@ -13,15 +13,16 @@ module Table = Qp_util.Table
 module Generators = Qp_graph.Generators
 module Majority_qs = Qp_quorum.Majority_qs
 module Strategy = Qp_quorum.Strategy
+module Failure = Qp_runtime.Failure
+module Engine = Qp_runtime.Engine
 open Qp_place
 
+(* The static fault-injection baseline: fixed strategy, blind retries. *)
 let availability problem placement =
   let cfg =
-    Qp_sim.Fault_sim.default_config ~problem ~placement
-      ~failure_model:(Qp_sim.Fault_sim.Static 0.1)
+    Engine.default_config ~adaptive:false ~problem ~placement ~failure:(Failure.Static 0.1) ()
   in
-  (Qp_sim.Fault_sim.run { cfg with Qp_sim.Fault_sim.accesses_per_client = 600 })
-    .Qp_sim.Fault_sim.availability
+  (Engine.run { cfg with Engine.accesses_per_client = 600 }).Engine.availability
 
 let () =
   let rng = Rng.create 99 in

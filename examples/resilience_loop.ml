@@ -6,11 +6,14 @@
    twice against the bit-identical failure trajectory (the churn
    process draws from its own seeded stream):
 
-   1. static baseline: fixed strategy + blind retries (Fault_sim);
+   1. static baseline: fixed strategy + blind retries (the engine
+      with adaptation and repair off);
    2. closed-loop engine: heartbeat failure detection, adaptive
       strategy reweighting, hedged retries with exponential backoff,
       and automatic placement repair when too much suspected capacity
-      accumulates (Qp_runtime.Engine).
+      accumulates.
+
+   Both are configurations of Qp_runtime.Engine.
 
    It then shows what each control-loop stage buys, and that with the
    failures turned off the engine reproduces the paper's analytic
@@ -64,20 +67,15 @@ let () =
     (Failure.node_availability failure)
     attempts;
 
-  (* Static baseline: same placement, same retry budget, no feedback. *)
-  let static =
-    Qp_sim.Fault_sim.run
-      { (Qp_sim.Fault_sim.default_config ~problem ~placement ~failure_model:failure) with
-        Qp_sim.Fault_sim.retry = fixed;
-        accesses_per_client = accesses;
-        seed }
-  in
-  (* The control loop, one stage at a time. *)
-  let engine ?repair retry =
+  let engine ?repair ~adaptive retry =
     Engine.run
-      { (Engine.default_config ~adaptive:true ?repair ~problem ~placement ~failure ()) with
+      { (Engine.default_config ~adaptive ?repair ~problem ~placement ~failure ()) with
         Engine.retry; accesses_per_client = accesses; seed }
   in
+  (* Static baseline: same placement, same retry budget, no feedback. *)
+  let static = engine ~adaptive:false fixed in
+  (* The control loop, one stage at a time. *)
+  let engine = engine ~adaptive:true in
   let adaptive = engine fixed in
   let hedging = engine hedged in
   let full = engine ~repair:Engine.default_trigger hedged in
@@ -88,8 +86,7 @@ let () =
         ("delay (ok)", Table.Right); ("attempts", Table.Right) ]
   in
   Table.add_rowf tbl "static strategy, blind retries|%.4f|%.3f|%.2f"
-    static.Qp_sim.Fault_sim.availability static.Qp_sim.Fault_sim.mean_delay_success
-    static.Qp_sim.Fault_sim.mean_attempts;
+    static.Engine.availability static.Engine.mean_delay_success static.Engine.mean_attempts;
   Table.add_rowf tbl "+ detector & adaptive strategy|%.4f|%.3f|%.2f"
     adaptive.Engine.availability adaptive.Engine.mean_delay_success
     adaptive.Engine.mean_attempts;

@@ -173,6 +173,21 @@ let validate cfg =
       if m.move_interval <= 0. then
         invalid_arg "Engine: migration move_interval must be positive"
 
+(* The iid closed form: one attempt succeeds when every distinct host
+   of the sampled quorum is up (co-located elements share fate), and
+   attempts are independent. *)
+let predicted_availability cfg =
+  let a = Failure.node_availability cfg.failure in
+  let system = cfg.problem.Problem.system in
+  let s = ref 0. in
+  Array.iteri
+    (fun qi pq ->
+      if pq > 0. then
+        let k = List.length (Adaptive.distinct_hosts system cfg.placement qi) in
+        s := !s +. (pq *. (a ** float_of_int k)))
+    cfg.problem.Problem.strategy;
+  1. -. ((1. -. !s) ** float_of_int cfg.retry.Retry.max_attempts)
+
 (* Mutable simulation state threaded through the event closures. *)
 type state = {
   up : bool array; (* ground truth, flipped by the churn process *)
@@ -243,11 +258,11 @@ let run cfg =
   let static = cfg.problem.Problem.strategy in
   let analytic = Delay.avg_max_delay cfg.problem cfg.placement in
   let rng = Rng.create cfg.seed in
-  (* Dedicated churn and arrival streams, derived from the seed
-     exactly as in Fault_sim.run_dynamic: at equal seeds the static
-     baseline and the engine face the bit-identical failure trajectory
-     AND access times, so comparisons are paired rather than drowned
-     in trajectory variance. *)
+  (* Dedicated churn and arrival streams split off the seed: at equal
+     seeds a static ([adaptive = false]) run and an adaptive run face
+     the bit-identical failure trajectory AND access times, so
+     comparisons are paired rather than drowned in trajectory
+     variance. *)
   let churn_rng = Rng.split rng in
   let arrival_rng = Rng.split rng in
   let sim = Event.create () in

@@ -19,8 +19,16 @@
       recording delay before/after each repair.
 
     Down nodes are silent: a failed attempt is discovered only at its
-    timeout, never early — matching the fault-injection simulator so
-    static-vs-adaptive comparisons at equal retry budget are fair. *)
+    timeout, never early.
+
+    The engine is also the fault-injection simulator. With
+    [~adaptive:false], {!Retry.fixed} and no repair, migration or SLO
+    trigger, it is the static baseline: a fixed strategy with blind
+    retries. Run at the same seed as an adaptive configuration, it
+    faces the bit-identical failure trajectory and access times, so
+    static-vs-adaptive comparisons at an equal retry budget are
+    paired. {!predicted_availability} is the closed form its
+    availability converges to under [Static p]. *)
 
 type repair_trigger = {
   capacity_frac : float;
@@ -145,6 +153,19 @@ type report = {
   analytic_delay : float; (* static failure-free reference delay *)
 }
 
+val validate : config -> unit
+(** The checks {!run} makes first; front ends call it to turn a bad
+    flag into a typed error before running.
+    @raise Invalid_argument on out-of-range configuration. *)
+
 val run : config -> report
 (** Deterministic in [config] (all randomness flows from [seed]).
     @raise Invalid_argument on out-of-range configuration. *)
+
+val predicted_availability : config -> float
+(** The iid closed form [1 - (1 - s)^max_attempts], with
+    [s = sum_Q p(Q) * a^|distinct hosts of Q|] over the static
+    strategy and [a = Failure.node_availability failure] ([1 - p]
+    under [Static p]). Co-located elements share fate. Exact for the
+    static baseline under [Static]; under [Dynamic] it is an
+    optimistic reference, since retries re-hit the same down node. *)

@@ -5,9 +5,9 @@
     equal timestamps) and runs them. Event handlers may schedule
     further events.
 
-    This is the substrate shared by the offline simulators
-    ({!Qp_sim.Access_sim}, {!Qp_sim.Fault_sim} — which re-export it as
-    [Qp_sim.Sim]) and the closed-loop resilience {!Engine}. *)
+    This is the substrate shared by the access simulator
+    ({!Qp_sim.Access_sim}) and the resilience {!Engine}, which also
+    runs the static fault-injection baseline. *)
 
 type t
 

@@ -4,11 +4,12 @@ type model = Static of float | Dynamic of { mtbf : float; mttr : float }
 
 let validate = function
   | Static p ->
-      if p < 0. || p > 1. then
+      if not (p >= 0. && p <= 1.) then
         invalid_arg "Failure.validate: Static probability must lie in [0, 1]"
   | Dynamic { mtbf; mttr } ->
-      if mtbf <= 0. || mttr <= 0. then
-        invalid_arg "Failure.validate: mtbf and mttr must be positive"
+      let ok t = t > 0. && Float.is_finite t in
+      if not (ok mtbf && ok mttr) then
+        invalid_arg "Failure.validate: mtbf and mttr must be positive and finite"
 
 let node_availability = function
   | Static p -> 1. -. p

@@ -1,8 +1,8 @@
 (** The shared failure model of the sim layer.
 
-    Every simulator (offline fault injection, the closed-loop
-    resilience engine) draws node failures from the same two-mode
-    process so results are comparable across the stack:
+    The resilience {!Engine} draws node failures from this two-mode
+    process in every configuration, the static fault-injection
+    baseline included, so results are comparable across the stack:
 
     - [Static p]: every probe independently finds its node failed with
       probability [p] (memoryless; matches the iid availability
@@ -15,8 +15,8 @@
 type model = Static of float | Dynamic of { mtbf : float; mttr : float }
 
 val validate : model -> unit
-(** @raise Invalid_argument on [Static] outside [0, 1] or
-    non-positive [mtbf]/[mttr]. *)
+(** @raise Invalid_argument on [Static] outside [0, 1] (or NaN), or
+    on [mtbf]/[mttr] that is not positive and finite. *)
 
 val node_availability : model -> float
 (** Per-node steady-state probability of being up: [1 - p] for

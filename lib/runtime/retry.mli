@@ -1,7 +1,7 @@
 (** Retry policies for quorum accesses.
 
-    One description of client-side failure handling shared by the
-    offline fault simulator and the closed-loop resilience engine, so
+    One description of client-side failure handling shared by every
+    {!Engine} configuration, static baseline and closed loop alike, so
     "equal retry budget" comparisons are meaningful:
 
     - a per-attempt [timeout] after which the attempt counts as failed;
@@ -15,9 +15,9 @@
       the classic tail-latency mitigation (cf. "The Tail at Scale"),
       bounded to one hedge per attempt.
 
-    {!fixed} reproduces the legacy fault-injection model (retry
-    exactly at timeout expiry, no jitter, no hedging) so the paper's
-    availability experiments are unchanged under the shared type. *)
+    {!fixed} is the static baseline's policy (retry exactly at timeout
+    expiry, no jitter, no hedging), the one the availability
+    experiments run. *)
 
 type backoff =
   | No_backoff

@@ -7,6 +7,7 @@ module Strategy = Qp_quorum.Strategy
 module Problem = Qp_place.Problem
 module Placement = Qp_place.Placement
 module Delay = Qp_place.Delay
+module Event = Qp_runtime.Event
 
 type protocol = Parallel | Sequential
 
@@ -74,7 +75,7 @@ let service_time st =
 (* [t0] is the access start time: the completion instant [t0 + delay]
    may lie beyond the current event (one-way mode computes it
    analytically), so the makespan is tracked here rather than read off
-   the event clock after [Sim.run]. *)
+   the event clock after [Event.run]. *)
 let record st ~t0 client delay =
   Queue.add delay st.delays;
   Stats.online_add st.per_client.(client) delay;
@@ -87,7 +88,7 @@ let record st ~t0 client delay =
    executing at the arrival instant so that [node_free_at] is updated
    in arrival order. *)
 let serve st sim node =
-  let start = Float.max (Sim.now sim) st.node_free_at.(node) in
+  let start = Float.max (Event.now sim) st.node_free_at.(node) in
   let finish = start +. service_time st in
   st.node_free_at.(node) <- finish;
   finish
@@ -95,7 +96,7 @@ let serve st sim node =
 let perform_access st sim client =
   let qi = Strategy.sample st.rng st.cfg.problem.Problem.strategy in
   let q = Quorum.quorum st.cfg.problem.Problem.system qi in
-  let t0 = Sim.now sim in
+  let t0 = Event.now sim in
   match st.cfg.protocol with
   | Parallel ->
       if not st.cfg.round_trip then begin
@@ -118,7 +119,7 @@ let perform_access st sim client =
             let node = st.cfg.placement.(u) in
             st.node_probes.(node) <- st.node_probes.(node) + 1;
             let arrive = t0 +. link_latency st client node in
-            Sim.schedule sim arrive (fun sim ->
+            Event.schedule sim arrive (fun sim ->
                 let finish = serve st sim node in
                 let back = finish +. link_latency st node client in
                 if back > !latest then latest := back;
@@ -147,11 +148,11 @@ let perform_access st sim client =
             let node = st.cfg.placement.(q.(idx)) in
             st.node_probes.(node) <- st.node_probes.(node) + 1;
             let arrive = depart +. link_latency st client node in
-            Sim.schedule sim arrive (fun sim ->
+            Event.schedule sim arrive (fun sim ->
                 let finish = serve st sim node in
                 let back = finish +. link_latency st node client in
                 (* Continue at the moment the reply returns. *)
-                Sim.schedule sim back (fun _ -> visit (idx + 1) back))
+                Event.schedule sim back (fun _ -> visit (idx + 1) back))
           end
         in
         visit 0 t0
@@ -190,7 +191,7 @@ let run cfg =
       makespan = 0.;
     }
   in
-  let sim = Sim.create () in
+  let sim = Event.create () in
   let rates = client_rates cfg.problem in
   let mean_rate =
     let positive = Array.of_list (List.filter (fun r -> r > 0.) (Array.to_list rates)) in
@@ -211,12 +212,12 @@ let run cfg =
       let rec arrival sim =
         perform_access st sim client;
         decr remaining;
-        if !remaining > 0 then Sim.schedule_in sim (Rng.exponential st.rng rate) arrival
+        if !remaining > 0 then Event.schedule_in sim (Rng.exponential st.rng rate) arrival
       in
-      Sim.schedule sim (Rng.exponential st.rng rate) arrival
+      Event.schedule sim (Rng.exponential st.rng rate) arrival
     end
   done;
-  Sim.run sim;
+  Event.run sim;
   let delays = Array.of_seq (Queue.to_seq st.delays) in
   let analytic =
     match cfg.protocol with

@@ -218,23 +218,19 @@ let test_engine_adaptive_beats_static_under_churn () =
       ~timeout:(4. *. Metric.diameter problem.Problem.metric)
       ~max_attempts:3
   in
-  let static =
-    Qp_sim.Fault_sim.run
-      { (Qp_sim.Fault_sim.default_config ~problem ~placement ~failure_model:failure) with
-        Qp_sim.Fault_sim.retry; accesses_per_client = 400; seed = 3 }
-  in
-  let adaptive =
+  let run ~adaptive =
     Engine.run
-      { (Engine.default_config ~adaptive:true ~problem ~placement ~failure ()) with
+      { (Engine.default_config ~adaptive ~problem ~placement ~failure ()) with
         Engine.retry; accesses_per_client = 400; seed = 3 }
   in
+  let static = run ~adaptive:false and adaptive = run ~adaptive:true in
   (* Same seed => same churn trajectory and access times (both streams
-     are split off the seed identically in both simulators): a paired
+     are split off the seed ahead of any workload draw): a paired
      comparison at an equal retry budget. *)
   Alcotest.(check bool) "strictly more accesses succeed" true
-    (adaptive.Engine.availability > static.Qp_sim.Fault_sim.availability);
+    (adaptive.Engine.availability > static.Engine.availability);
   Alcotest.(check bool) "no extra attempts" true
-    (adaptive.Engine.mean_attempts <= static.Qp_sim.Fault_sim.mean_attempts +. 1e-9)
+    (adaptive.Engine.mean_attempts <= static.Engine.mean_attempts +. 1e-9)
 
 let test_engine_repair_fires_and_avoids_dead () =
   let problem, placement = engine_fixture () in
@@ -329,6 +325,33 @@ let test_engine_hedging_accounting () =
 let test_engine_validation () =
   let problem, placement = engine_fixture () in
   let base = Engine.default_config ~problem ~placement ~failure:(Failure.Static 0.1) () in
+  Alcotest.check_raises "attempts" (Invalid_argument "Retry: max_attempts >= 1 required")
+    (fun () ->
+      Engine.validate
+        { base with Engine.retry = { base.Engine.retry with Retry.max_attempts = 0 } });
+  Alcotest.check_raises "timeout" (Invalid_argument "Retry: timeout must be positive")
+    (fun () ->
+      Engine.validate { base with Engine.retry = { base.Engine.retry with Retry.timeout = 0. } });
+  Alcotest.check_raises "probability"
+    (Invalid_argument "Failure.validate: Static probability must lie in [0, 1]") (fun () ->
+      Engine.validate { base with Engine.failure = Failure.Static 2. });
+  Alcotest.check_raises "NaN probability"
+    (Invalid_argument "Failure.validate: Static probability must lie in [0, 1]") (fun () ->
+      Engine.validate { base with Engine.failure = Failure.Static Float.nan });
+  Alcotest.check_raises "non-finite churn"
+    (Invalid_argument "Failure.validate: mtbf and mttr must be positive and finite")
+    (fun () ->
+      Engine.validate
+        { base with Engine.failure = Failure.Dynamic { mtbf = Float.nan; mttr = 40. } });
+  (* Under churn the crash/repair process regenerates forever, so a run
+     with no accesses to resolve would never stop: it is rejected. *)
+  Alcotest.check_raises "no accesses under churn"
+    (Invalid_argument "Engine: accesses_per_client >= 1 required") (fun () ->
+      ignore
+        (Engine.run
+           { base with
+             Engine.failure = Failure.Dynamic { mtbf = 60.; mttr = 40. };
+             accesses_per_client = 0 }));
   Alcotest.check_raises "probe interval"
     (Invalid_argument "Engine: probe_interval must be positive") (fun () ->
       ignore (Engine.run { base with Engine.probe_interval = 0. }));

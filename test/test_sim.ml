@@ -7,6 +7,7 @@ module Simple_qs = Qp_quorum.Simple_qs
 module Problem = Qp_place.Problem
 module Placement = Qp_place.Placement
 module Delay = Qp_place.Delay
+module Event = Qp_runtime.Event
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -15,47 +16,47 @@ let check_float = Alcotest.(check (float 1e-9))
 (* ------------------------------------------------------------------ *)
 
 let test_engine_ordering () =
-  let sim = Sim.create () in
+  let sim = Event.create () in
   let log = ref [] in
-  Sim.schedule sim 3.0 (fun _ -> log := 3 :: !log);
-  Sim.schedule sim 1.0 (fun _ -> log := 1 :: !log);
-  Sim.schedule sim 2.0 (fun s ->
+  Event.schedule sim 3.0 (fun _ -> log := 3 :: !log);
+  Event.schedule sim 1.0 (fun _ -> log := 1 :: !log);
+  Event.schedule sim 2.0 (fun s ->
       log := 2 :: !log;
-      Sim.schedule_in s 0.5 (fun _ -> log := 25 :: !log));
-  Sim.run sim;
+      Event.schedule_in s 0.5 (fun _ -> log := 25 :: !log));
+  Event.run sim;
   Alcotest.(check (list int)) "time order" [ 1; 2; 25; 3 ] (List.rev !log);
-  Alcotest.(check int) "processed" 4 (Sim.events_processed sim);
-  check_float "final clock" 3.0 (Sim.now sim)
+  Alcotest.(check int) "processed" 4 (Event.events_processed sim);
+  check_float "final clock" 3.0 (Event.now sim)
 
 let test_engine_until () =
-  let sim = Sim.create () in
+  let sim = Event.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    Sim.schedule sim (float_of_int i) (fun _ -> incr count)
+    Event.schedule sim (float_of_int i) (fun _ -> incr count)
   done;
-  Sim.run ~until:5.5 sim;
+  Event.run ~until:5.5 sim;
   Alcotest.(check int) "stopped at horizon" 5 !count;
-  Sim.run sim;
+  Event.run sim;
   Alcotest.(check int) "resumes" 10 !count
 
 let test_engine_stop () =
-  (* A self-regenerating event chain is cut off by Sim.stop. *)
-  let sim = Sim.create () in
+  (* A self-regenerating event chain is cut off by Event.stop. *)
+  let sim = Event.create () in
   let count = ref 0 in
   let rec tick s =
     incr count;
-    if !count = 5 then Sim.stop s else Sim.schedule_in s 1.0 tick
+    if !count = 5 then Event.stop s else Event.schedule_in s 1.0 tick
   in
-  Sim.schedule sim 0.0 tick;
-  Sim.run sim;
+  Event.schedule sim 0.0 tick;
+  Event.run sim;
   Alcotest.(check int) "stopped after 5" 5 !count
 
 let test_engine_rejects_past () =
-  let sim = Sim.create () in
-  Sim.schedule sim 5.0 (fun s ->
+  let sim = Event.create () in
+  Event.schedule sim 5.0 (fun s ->
       Alcotest.check_raises "past event" (Invalid_argument "Event.schedule: time in the past")
-        (fun () -> Sim.schedule s 1.0 (fun _ -> ())));
-  Sim.run sim
+        (fun () -> Event.schedule s 1.0 (fun _ -> ())));
+  Event.run sim
 
 (* ------------------------------------------------------------------ *)
 (* Access simulation                                                   *)
