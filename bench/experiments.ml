@@ -39,23 +39,32 @@ open Qp_place
 let section title =
   Printf.printf "\n=== %s ===\n\n" title
 
-(* Structured result records (the qp-scaling/1 cells of E19) destined
-   for the experiment's entry in BENCH_results.json. Kept in a
-   domain-local list so concurrent experiments under --jobs N cannot
+(* Structured result records (the qp-scaling/1 cells of E19) and the
+   named pass/fail checks of E17-E20, destined for the experiment's
+   entry in BENCH_results.json ("records" and "asserts"). Kept in
+   domain-local lists so concurrent experiments under --jobs N cannot
    interleave; the bench driver drains them right after each
    experiment returns, on the same domain that ran it. *)
 let records_key : Qp_obs.Json.t list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let add_record r =
-  let rs = Domain.DLS.get records_key in
-  rs := r :: !rs
+let asserts_key : (string * bool) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
-let take_records () =
-  let rs = Domain.DLS.get records_key in
-  let out = List.rev !rs in
-  rs := [];
+let push key x =
+  let l = Domain.DLS.get key in
+  l := x :: !l
+
+let drain key =
+  let l = Domain.DLS.get key in
+  let out = List.rev !l in
+  l := [];
   out
+
+let add_record r = push records_key r
+let check name ok = push asserts_key (name, ok)
+let take_records () = drain records_key
+let take_asserts () = drain asserts_key
 
 (* Wall budget for the E19 scaling series. CI's scaling-smoke job runs
    with a reduced budget via --scale-budget; the default is generous
@@ -1231,11 +1240,10 @@ let e17 () =
   Printf.printf "worst transient load/cap: naive swap %.3f, planned %.3f (bound %g)\n"
     !worst_naive !worst_planned bound;
   (* Machine-checkable assertions for the CI churn smoke. *)
-  Printf.printf "e17-assert: warm_lt_cold=%b\n" (!tot_warm < !tot_cold);
-  Printf.printf "e17-assert: objectives_match=%b\n" !objectives_match;
-  Printf.printf "e17-assert: bounded_safe=%b\n" !bounded_safe;
-  Printf.printf "e17-assert: migration_beats_cold=%b\n"
-    (!worst_planned < !worst_naive -. 1e-9);
+  check "warm_lt_cold" (!tot_warm < !tot_cold);
+  check "objectives_match" !objectives_match;
+  check "bounded_safe" !bounded_safe;
+  check "migration_beats_cold" (!worst_planned < !worst_naive -. 1e-9);
   print_endline
     "\nReading: small deltas re-solve warm in a fraction of the cold pivot count\n\
      at the identical objective (the basis survives the perturbation), the APSP\n\
@@ -1353,10 +1361,10 @@ let e18 () =
      enforces [jobs4_gt_jobs1] only when [scaling_expected] — pooled
      dispatch cannot outrun the inline loop on a single core, where
      CPU-bound solves serialize no matter how they are dispatched. *)
-  Printf.printf "e18-assert: jobs4_gt_jobs1=%b\n" (best 4 > best 1);
-  Printf.printf "e18-assert: scaling_expected=%b\n" (cores >= 2);
-  Printf.printf "e18-assert: cache_hits_dominate=%b\n" (best_hit > 0.5);
-  Printf.printf "e18-assert: all_cells_clean=%b\n" clean;
+  check "jobs4_gt_jobs1" (best 4 > best 1);
+  check "scaling_expected" (cores >= 2);
+  check "cache_hits_dominate" (best_hit > 0.5);
+  check "all_cells_clean" clean;
   print_endline
     "\nReading: with a distinct spec per request the pooled server outscales the\n\
      inline one - the event loop stays I/O-only while worker domains run the\n\
@@ -1550,11 +1558,11 @@ let e19 () =
   in
   Printf.printf "largest completed cell: n=%d\n" largest_n;
   (* Machine-checkable assertions for the CI scaling-smoke gate. *)
-  Printf.printf "e19-assert: auto_picked_tree=%b\n" auto_picked_tree;
-  Printf.printf "e19-assert: auto_is_exact=%b\n" auto_is_exact;
-  Printf.printf "e19-assert: auto_work_10x=%b\n" auto_work_10x;
-  Printf.printf "e19-assert: scaling_reached_10x=%b\n" (largest_n >= 480);
-  Printf.printf "e19-assert: scaling_cells_clean=%b\n" cells_clean;
+  check "auto_picked_tree" auto_picked_tree;
+  check "auto_is_exact" auto_is_exact;
+  check "auto_work_10x" auto_work_10x;
+  check "scaling_reached_10x" (largest_n >= 480);
+  check "scaling_cells_clean" cells_clean;
   print_endline
     "\nReading: on tree topologies the registry's auto entry routes the solve\n\
      to the exact tree specialist - same optimum as exhaustive search, orders\n\
@@ -1730,14 +1738,12 @@ let e20 () =
         rho < 0.75 || s.Runner.read_delay <= s.Runner.sym_read_delay +. 1e-9)
       sweep
   in
-  Printf.printf "e20-assert: rw_beats_symmetric_read=%b\n"
-    rw_beats_symmetric_read;
-  Printf.printf "e20-assert: intersection_preserved=%b\n"
-    intersection_preserved;
-  Printf.printf "e20-assert: cdfs_monotone=%b\n" cdfs_monotone;
-  Printf.printf "e20-assert: curve_complete=%b\n" curve_complete;
-  Printf.printf "e20-assert: regions_covered=%b\n" regions_covered;
-  Printf.printf "e20-assert: sweep_read_monotone=%b\n" sweep_read_monotone;
+  check "rw_beats_symmetric_read" rw_beats_symmetric_read;
+  check "intersection_preserved" intersection_preserved;
+  check "cdfs_monotone" cdfs_monotone;
+  check "curve_complete" curve_complete;
+  check "regions_covered" regions_covered;
+  check "sweep_read_monotone" sweep_read_monotone;
   print_endline
     "\nReading: on a real 3-region RTT table, optimizing the placement for\n\
      the measured 90/10 read mix buys a strictly lower read latency than\n\
@@ -1759,8 +1765,6 @@ let registry =
    excluded deliberately: its throughput numbers are nondeterministic
    and the smoke artifact is byte-diffed across runs. *)
 let smoke = [ "e1"; "f1"; "f2" ]
-
-let all () = List.iter (fun (_, f) -> f ()) registry
 
 let by_name name =
   match List.assoc_opt name registry with

@@ -1,9 +1,8 @@
 (* Benchmark & experiment driver.
 
    Usage:
-     dune exec bench/main.exe                 # all experiments (E1-E16, F1-F2)
+     dune exec bench/main.exe                 # all experiments (E1-E20, F1-F2)
      dune exec bench/main.exe -- e5 f1        # selected experiments
-     dune exec bench/main.exe -- micro        # bechamel microbenchmarks
      dune exec bench/main.exe -- --smoke      # fast subset for CI
      dune exec bench/main.exe -- --jobs N     # worker domains (0 = all cores)
      dune exec bench/main.exe -- --out FILE   # results file (default BENCH_results.json)
@@ -12,7 +11,8 @@
 
    Every experiment run also writes a machine-readable summary: per
    experiment the wall-clock time plus every telemetry series (solver
-   pivots, simulated accesses, ...) recorded while it ran.
+   pivots, simulated accesses, ...) recorded while it ran, and the
+   named pass/fail checks it asserted (E17-E20, read by the CI gates).
 
    Experiments are independent, so with --jobs N > 1 they run
    concurrently on the default domain pool. Each experiment gets its
@@ -55,6 +55,7 @@ let run_one ~buffer name =
      (the kernel high-water mark), best-effort and absent off Linux.
      Both are excluded — like wall_s — from cross-run byte comparisons. *)
   let records = Experiments.take_records () in
+  let asserts = Experiments.take_asserts () in
   Obs.Json.Obj
     ([ ("experiment", Obs.Json.String name);
        ("wall_s", Obs.Json.Float wall) ]
@@ -64,7 +65,12 @@ let run_one ~buffer name =
     @ [ ("metrics", Obs.Json.Obj series) ]
     @ (match records with
       | [] -> []
-      | rs -> [ ("records", Obs.Json.List rs) ]))
+      | rs -> [ ("records", Obs.Json.List rs) ])
+    @
+    match asserts with
+    | [] -> []
+    | cs ->
+        [ ("asserts", Obs.Json.Obj (List.map (fun (k, ok) -> (k, Obs.Json.Bool ok)) cs)) ])
 
 let write_results path ~jobs results =
   let doc =
@@ -92,7 +98,6 @@ let () =
   let out = ref "BENCH_results.json" in
   let wide = ref None in
   let names = ref [] in
-  let micro = ref false in
   let jobs = ref 0 in
   let add ns = names := !names @ ns in
   let rec parse = function
@@ -121,9 +126,6 @@ let () =
     | "--smoke" :: rest ->
         add Experiments.smoke;
         parse rest
-    | "micro" :: rest ->
-        micro := true;
-        parse rest
     | "all" :: rest ->
         add (List.map fst Experiments.registry);
         parse rest
@@ -134,9 +136,7 @@ let () =
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let names =
-    if !names = [] && not !micro then List.map fst Experiments.registry else !names
-  in
+  let names = if !names = [] then List.map fst Experiments.registry else !names in
   let jobs = if !jobs = 0 then Domain.recommended_domain_count () else !jobs in
   Qp_par.Pool.set_default_jobs jobs;
   (match !wide with
@@ -162,6 +162,5 @@ let () =
       Array.to_list (Array.map fst runs)
     end
   in
-  if !micro then Micro.run ();
-  if results <> [] then write_results !out ~jobs results;
+  write_results !out ~jobs results;
   Obs.Wide.uninstall ()

@@ -32,12 +32,13 @@ let ( let* ) = Qp_error.( let* )
 (* record plus the telemetry sinks.                                    *)
 (* ------------------------------------------------------------------ *)
 
-type common = {
-  spec : Spec.t;
+type sinks = {
   trace : string option;
   metrics : string option;
   wide : string option; (* wide-event JSONL sink *)
 }
+
+type common = { spec : Spec.t; sinks : sinks }
 
 type run_meta = {
   command : string;
@@ -69,37 +70,45 @@ let print_meta m =
 
 (* --jobs 0 means "all cores"; everything downstream sees the resolved
    count. All parallel sections are deterministic by construction, so
-   the choice only affects wall-clock time, never output. *)
-let resolve_jobs jobs =
-  let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
-  Qp_par.Pool.set_default_jobs jobs;
-  jobs
+   the choice only affects wall-clock time, never output. [pin]
+   replaces a valid request (loadgen runs no parallel section). *)
+let resolve_jobs ?pin jobs =
+  if jobs < 0 then Qp_error.invalid_instancef "jobs must be >= 0 (got %d)" jobs
+  else begin
+    let jobs =
+      match pin with
+      | Some j -> j
+      | None -> if jobs = 0 then Domain.recommended_domain_count () else jobs
+    in
+    Qp_par.Pool.set_default_jobs jobs;
+    Ok jobs
+  end
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 (* Run [f] with the requested telemetry sinks live: a JSONL trace
    (header record first) and/or a Prometheus text dump of the default
    registry written when the command finishes, even on error.
    [quiet] suppresses the human-readable meta line (--format json). *)
-let with_obs ?(quiet = false) (c : common) meta f =
+let with_obs ~quiet sinks meta f =
   if not quiet then print_meta meta;
-  (match c.trace with
+  (match sinks.trace with
   | Some path ->
       Obs.Trace.install (Obs.Trace.to_file path);
       Obs.Trace.header (meta_fields meta)
   | None -> ());
-  (match c.wide with
+  (match sinks.wide with
   | Some path ->
       Obs.Wide.install (Obs.Trace.to_file path);
       Obs.Wide.header (meta_fields meta)
   | None -> ());
-  if c.metrics <> None then Obs.Metrics.set_enabled Obs.Metrics.default true;
+  if sinks.metrics <> None then Obs.Metrics.set_enabled Obs.Metrics.default true;
   Fun.protect
     ~finally:(fun () ->
-      (match c.metrics with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Obs.Metrics.to_prometheus Obs.Metrics.default);
-          close_out oc
-      | None -> ());
+      Option.iter
+        (fun path -> write_file path (Obs.Metrics.to_prometheus Obs.Metrics.default))
+        sinks.metrics;
       Obs.Wide.uninstall ();
       Obs.Trace.uninstall ())
     f
@@ -113,8 +122,42 @@ let run_result r =
       prerr_endline ("qplace: " ^ Qp_error.to_string e);
       exit (Qp_error.exit_code e)
 
-let meta_of ?(command = "solve") ?alpha ?algorithm (c : common) ~jobs =
-  { command; spec = c.spec; jobs; alpha; algorithm }
+(* The one runner of the instance-driven subcommands: [checked] holds
+   the flag checks, settled before anything prints; then --jobs is
+   validated and resolved, the meta line printed (unless [quiet]), the
+   telemetry sinks installed around [f], and the result mapped to an
+   exit code. *)
+let run ?(quiet = false) ?pin_jobs ?alpha ?algorithm ~command (c : common)
+    checked f =
+  run_result
+  @@
+  let* x = checked in
+  let* jobs = resolve_jobs ?pin:pin_jobs c.spec.Spec.jobs in
+  with_obs ~quiet c.sinks { command; spec = c.spec; jobs; alpha; algorithm }
+    (fun () -> f x)
+
+(* simulate, faults, resilience and churn all study the Theorem 1.2
+   placement of the generated instance: the lp solver at alpha = 2
+   (the default options). *)
+let run_lp ~command (c : common) checked f =
+  run ~command ~alpha:2. ~algorithm:"lp" c checked @@ fun x ->
+  let* problem = Spec.build c.spec in
+  let* outcome =
+    (Solver.find_exn "lp").Solver.solve
+      (Qp_serve.Protocol.solver_params c.spec Qp_serve.Protocol.default_options)
+      problem
+  in
+  f x problem outcome.Outcome.placement
+
+let check_format = function
+  | "text" | "json" -> Ok ()
+  | other -> Qp_error.invalid_instancef "unknown format %S (text|json)" other
+
+(* Print a JSON document as one line, and also write it to [out]. *)
+let emit_doc out doc =
+  let doc = Obs.Json.to_string doc in
+  Option.iter (fun path -> write_file path (doc ^ "\n")) out;
+  print_endline doc
 
 let describe_placement problem label f =
   let tbl =
@@ -138,30 +181,24 @@ let get_problem ~instance (c : common) =
   | Some path -> Serialize.load_problem path
   | None -> Spec.build c.spec
 
-(* Solver parameters from the CLI spec. The randomized solver streams
-   from [seed + 1] so "solve" and the instance construction (seeded
-   with [seed]) stay independent. Shared with the server through
-   {!Qp_serve.Protocol.solver_params}, so served and offline
-   placements agree byte-for-byte. *)
-let params_of ?pivot_budget (c : common) ~alpha =
-  Qp_serve.Protocol.solver_params c.spec
-    { Qp_serve.Protocol.default_options with
-      Qp_serve.Protocol.alpha;
-      pivot_budget }
-
+(* Solver parameters come from {!Qp_serve.Protocol.solver_params}, the
+   mapping the server uses too, so served and offline placements agree
+   byte-for-byte. The randomized solver streams from [seed + 1] so
+   "solve" and the instance construction (seeded with [seed]) stay
+   independent. *)
 let solve_cmd (c : common) algorithm alpha pivot_budget instance save format =
-  run_result
-  @@
-  let* solver = Solver.find algorithm in
-  let* format =
-    match format with
-    | "text" | "json" -> Ok format
-    | other -> Qp_error.invalid_instancef "unknown format %S (text|json)" other
-  in
-  let jobs = resolve_jobs c.spec.Spec.jobs in
-  with_obs ~quiet:(format = "json") c
-    (meta_of c ~jobs ~alpha ~algorithm)
-  @@ fun () ->
+  let json = format = "json" in
+  run ~quiet:json ~command:"solve" ~alpha ~algorithm c
+    (let* solver = Solver.find algorithm in
+     let* () = check_format format in
+     let* options =
+       Qp_serve.Protocol.check_options
+         { Qp_serve.Protocol.default_options with
+           Qp_serve.Protocol.alpha;
+           pivot_budget }
+     in
+     Ok (solver, options))
+  @@ fun (solver, options) ->
   let ev = Obs.Wide.start ~kind:"solve" () in
   Obs.Wide.set_str ev "alg" algorithm;
   Obs.Wide.set ev "alpha" (Obs.Json.Float alpha);
@@ -171,15 +208,15 @@ let solve_cmd (c : common) algorithm alpha pivot_budget instance save format =
       match save with
       | Some path ->
           let* () = Serialize.save_problem path problem in
-          if format <> "json" then Printf.printf "instance saved to %s\n" path;
+          if not json then Printf.printf "instance saved to %s\n" path;
           Ok ()
       | None -> Ok ()
     in
     let* outcome =
       Obs.Wide.timed ev "solve" (fun () ->
-          solver.Solver.solve (params_of ?pivot_budget c ~alpha) problem)
+          solver.Solver.solve (Qp_serve.Protocol.solver_params c.spec options) problem)
     in
-    if format = "json" then print_endline (Serialize.outcome_to_string outcome)
+    if json then print_endline (Serialize.outcome_to_string outcome)
     else begin
       List.iter print_endline (solver.Solver.headline outcome);
       describe_placement problem solver.Solver.label outcome.Outcome.placement
@@ -192,30 +229,20 @@ let solve_cmd (c : common) algorithm alpha pivot_budget instance save format =
   res
 
 let simulate_cmd (c : common) protocol accesses =
-  run_result
-  @@
-  let* solver = Solver.find "lp" in
-  let* protocol =
-    match protocol with
+  run_lp ~command:"simulate" c
+    (match protocol with
     | "parallel" -> Ok Qp_sim.Access_sim.Parallel
     | "sequential" -> Ok Qp_sim.Access_sim.Sequential
-    | other -> Qp_error.invalid_instancef "unknown protocol %S (parallel|sequential)" other
-  in
-  let jobs = resolve_jobs c.spec.Spec.jobs in
-  with_obs c (meta_of c ~command:"simulate" ~jobs ~alpha:2. ~algorithm:"lp")
-  @@ fun () ->
-  let* problem = Spec.build c.spec in
-  let* outcome = solver.Solver.solve (params_of c ~alpha:2.) problem in
-  let cfg =
-    Qp_sim.Access_sim.default_config ~problem
-      ~placement:outcome.Outcome.placement
-  in
-  let report =
-    Qp_sim.Access_sim.run
-      { cfg with
-        Qp_sim.Access_sim.protocol;
-        accesses_per_client = accesses;
-        seed = c.spec.Spec.seed }
+    | other -> Qp_error.invalid_instancef "unknown protocol %S (parallel|sequential)" other)
+  @@ fun protocol problem placement ->
+  let cfg = Qp_sim.Access_sim.default_config ~problem ~placement in
+  let* report =
+    Qp_error.of_invalid_arg (fun () ->
+        Qp_sim.Access_sim.run
+          { cfg with
+            Qp_sim.Access_sim.protocol;
+            accesses_per_client = accesses;
+            seed = c.spec.Spec.seed })
   in
   let open Qp_sim.Access_sim in
   Printf.printf "accesses: %d\n" report.n_accesses;
@@ -226,14 +253,9 @@ let simulate_cmd (c : common) protocol accesses =
   Ok ()
 
 let gap_cmd (c : common) max_k =
-  run_result
-  @@
-  let* () =
-    if max_k < 2 then Qp_error.invalid_instancef "max-k must be at least 2 (got %d)" max_k
-    else Ok ()
-  in
-  let jobs = resolve_jobs c.spec.Spec.jobs in
-  with_obs c (meta_of c ~command:"gap" ~jobs)
+  run ~command:"gap" c
+    (if max_k < 2 then Qp_error.invalid_instancef "max-k must be at least 2 (got %d)" max_k
+     else Ok ())
   @@ fun () ->
   Qp_error.guard @@ fun () ->
   let tbl =
@@ -250,11 +272,7 @@ let gap_cmd (c : common) max_k =
   Ok ()
 
 let info_cmd (c : common) =
-  run_result
-  @@
-  let jobs = resolve_jobs c.spec.Spec.jobs in
-  with_obs c (meta_of c ~command:"info" ~jobs)
-  @@ fun () ->
+  run ~command:"info" c (Ok ()) @@ fun () ->
   let* system = Spec.build_system c.spec.Spec.system in
   let strategy = Strategy.uniform system in
   let loads = Strategy.loads system strategy in
@@ -280,35 +298,30 @@ let availability_cmd system_name p =
   run_result
   @@
   let* system = Spec.build_system system_name in
-  Printf.printf "resilience:           %d\n%!" (Qp_quorum.Availability.resilience system);
+  let module Availability = Qp_quorum.Availability in
+  let* failure =
+    Qp_error.of_invalid_arg (fun () ->
+        if Quorum.universe system <= 22 then
+          Printf.sprintf "%.6f (exact)" (Availability.failure_probability system p)
+        else
+          Printf.sprintf "%.6f (Monte-Carlo, 100k samples)"
+            (Availability.failure_probability_mc (Rng.create 1) system p
+               ~samples:100_000))
+  in
+  Printf.printf "resilience:           %d\n%!" (Availability.resilience system);
   Printf.printf "Naor-Wool load bound: %.4f\n%!"
-    (Qp_quorum.Availability.naor_wool_load_lower_bound system);
+    (Availability.naor_wool_load_lower_bound system);
   Printf.printf "uniform system load:  %.4f\n%!"
     (Strategy.system_load system (Strategy.uniform system));
-  if Quorum.universe system <= 22 then
-    Printf.printf "failure prob (p=%.2f): %.6f (exact)\n" p
-      (Qp_quorum.Availability.failure_probability system p)
-  else begin
-    let rng = Rng.create 1 in
-    Printf.printf "failure prob (p=%.2f): %.6f (Monte-Carlo, 100k samples)\n" p
-      (Qp_quorum.Availability.failure_probability_mc rng system p ~samples:100_000)
-  end;
+  Printf.printf "failure prob (p=%.2f): %s\n" p failure;
   Ok ()
 
 let faults_cmd (c : common) p attempts =
-  run_result
-  @@
-  let* solver = Solver.find "lp" in
-  let jobs = resolve_jobs c.spec.Spec.jobs in
-  with_obs c (meta_of c ~command:"faults" ~jobs ~alpha:2. ~algorithm:"lp")
-  @@ fun () ->
-  let* problem = Spec.build c.spec in
-  let* outcome = solver.Solver.solve (params_of c ~alpha:2.) problem in
+  run_lp ~command:"faults" c (Ok ()) @@ fun () problem placement ->
   let module Engine = Qp_runtime.Engine in
   (* The static baseline: fixed strategy, blind retries, no repair. *)
   let base =
-    Engine.default_config ~adaptive:false ~problem
-      ~placement:outcome.Outcome.placement
+    Engine.default_config ~adaptive:false ~problem ~placement
       ~failure:(Qp_runtime.Failure.Static p) ()
   in
   let cfg =
@@ -329,15 +342,7 @@ let faults_cmd (c : common) p attempts =
   Ok ()
 
 let resilience_cmd (c : common) mtbf mttr attempts accesses hedge no_repair =
-  run_result
-  @@
-  let* solver = Solver.find "lp" in
-  let jobs = resolve_jobs c.spec.Spec.jobs in
-  with_obs c (meta_of c ~command:"resilience" ~jobs ~alpha:2. ~algorithm:"lp")
-  @@ fun () ->
-  let* problem = Spec.build c.spec in
-  let* outcome = solver.Solver.solve (params_of c ~alpha:2.) problem in
-  let placement = outcome.Outcome.placement in
+  run_lp ~command:"resilience" c (Ok ()) @@ fun () problem placement ->
   let seed = c.spec.Spec.seed in
   let module Failure = Qp_runtime.Failure in
   let module Retry = Qp_runtime.Retry in
@@ -446,20 +451,7 @@ let design_cmd topology nodes seed =
    (warm re-solve + bounded-safe migration) on the same failure
    trajectory and retry budget. *)
 let churn_cmd (c : common) mtbf mttr attempts accesses bound =
-  run_result
-  @@
-  let* solver = Solver.find "lp" in
-  let* () =
-    if bound <= 0. then
-      Qp_error.invalid_instancef "bound must be positive (got %g)" bound
-    else Ok ()
-  in
-  let jobs = resolve_jobs c.spec.Spec.jobs in
-  with_obs c (meta_of c ~command:"churn" ~jobs ~alpha:2. ~algorithm:"lp")
-  @@ fun () ->
-  let* problem = Spec.build c.spec in
-  let* outcome = solver.Solver.solve (params_of c ~alpha:2.) problem in
-  let placement = outcome.Outcome.placement in
+  run_lp ~command:"churn" c (Ok ()) @@ fun () problem placement ->
   let seed = c.spec.Spec.seed in
   let module Failure = Qp_runtime.Failure in
   let module Retry = Qp_runtime.Retry in
@@ -519,27 +511,6 @@ let churn_cmd (c : common) mtbf mttr attempts accesses bound =
 
 let serve_cmd (c : common) port host queue_depth deadline_ms server_jobs
     cache_capacity =
-  run_result
-  @@
-  let* () =
-    if queue_depth < 1 then
-      Qp_error.invalid_instancef "queue-depth must be >= 1 (got %d)" queue_depth
-    else Ok ()
-  in
-  let* () =
-    if server_jobs < 1 then
-      Qp_error.invalid_instancef "server-jobs must be >= 1 (got %d)" server_jobs
-    else Ok ()
-  in
-  let* () =
-    if cache_capacity < 0 then
-      Qp_error.invalid_instancef "cache-capacity must be >= 0 (got %d)"
-        cache_capacity
-    else Ok ()
-  in
-  let jobs = resolve_jobs c.spec.Spec.jobs in
-  with_obs c (meta_of c ~command:"serve" ~jobs)
-  @@ fun () ->
   let cfg =
     { Qp_serve.Server.default_config with
       Qp_serve.Server.host;
@@ -550,6 +521,7 @@ let serve_cmd (c : common) port host queue_depth deadline_ms server_jobs
       jobs = server_jobs;
       cache_capacity }
   in
+  run ~command:"serve" c (Qp_serve.Server.check_config cfg) @@ fun () ->
   Qp_serve.Server.run
     ~ready:(fun p -> Printf.printf "serving qp-serve/1 on %s:%d\n%!" host p)
     cfg
@@ -557,26 +529,22 @@ let serve_cmd (c : common) port host queue_depth deadline_ms server_jobs
 let loadgen_cmd (c : common) host port connections duration mix deadline_ms
     pivot_budget algorithm alpha timeout_ms retries drop_every unique_specs
     out =
-  run_result
-  @@
-  let* mix = Qp_serve.Loadgen.mix_of_string mix in
-  let* () =
-    if retries < 0 then
-      Qp_error.invalid_instancef "retries must be >= 0 (got %d)" retries
-    else Ok ()
-  in
-  ignore (resolve_jobs 1);
   (* quiet: loadgen's stdout is the report document, nothing else —
      the telemetry sinks (--trace/--metrics/--wide-events) still
      install around the run *)
-  with_obs ~quiet:true c (meta_of c ~command:"loadgen" ~jobs:1 ~algorithm ~alpha)
-  @@ fun () ->
-  let options =
-    { Qp_serve.Protocol.algorithm;
-      alpha;
-      deadline_ms;
-      pivot_budget }
-  in
+  run ~quiet:true ~pin_jobs:1 ~command:"loadgen" ~algorithm ~alpha c
+    (let* mix = Qp_serve.Loadgen.mix_of_string mix in
+     let* () =
+       if retries < 0 then
+         Qp_error.invalid_instancef "retries must be >= 0 (got %d)" retries
+       else Ok ()
+     in
+     let* options =
+       Qp_serve.Protocol.check_options
+         { Qp_serve.Protocol.algorithm; alpha; deadline_ms; pivot_budget }
+     in
+     Ok (mix, options))
+  @@ fun (mix, options) ->
   let cfg =
     { Qp_serve.Loadgen.host;
       port;
@@ -592,98 +560,76 @@ let loadgen_cmd (c : common) host port connections duration mix deadline_ms
       (* Wide events imply per-request trace propagation: the client
          mints ids, the server echoes phase timing, and the two JSONL
          files join. *)
-      trace_requests = c.wide <> None;
+      trace_requests = c.sinks.wide <> None;
       unique_specs }
   in
   let* report = Qp_serve.Loadgen.run cfg in
-  let doc = Obs.Json.to_string (Qp_serve.Loadgen.report_to_json report) in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc doc;
-      output_char oc '\n';
-      close_out oc
-  | None -> ());
-  print_endline doc;
+  emit_doc out (Qp_serve.Loadgen.report_to_json report);
   Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* scenario: run a qp-scenario-spec/1 file end to end                  *)
 (* ------------------------------------------------------------------ *)
 
-let scenario_cmd file jobs format out trace metrics wide =
-  run_result
-  @@
-  let* format =
-    match format with
-    | "text" | "json" -> Ok format
-    | other -> Qp_error.invalid_instancef "unknown format %S (text|json)" other
-  in
-  let* contents =
-    match open_in file with
-    | exception Sys_error msg -> Qp_error.invalid_instancef "scenario: %s" msg
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  in
-  let* sc = Qp_scenario.Scenario.of_string contents in
-  let jobs = resolve_jobs jobs in
-  (* The scenario names a full instance spec, so the shared meta line
-     and telemetry headers describe it exactly like any other
-     subcommand. *)
-  let c =
-    { spec =
-        { Spec.topology = sc.Qp_scenario.Scenario.topology;
-          nodes = sc.Qp_scenario.Scenario.nodes;
-          system = sc.Qp_scenario.Scenario.system;
-          cap_slack = sc.Qp_scenario.Scenario.cap_slack;
-          seed = sc.Qp_scenario.Scenario.seed;
-          jobs };
-      trace; metrics; wide }
-  in
-  with_obs ~quiet:(format = "json") c
-    (meta_of c ~command:"scenario" ~jobs
-       ~alpha:sc.Qp_scenario.Scenario.alpha
-       ~algorithm:sc.Qp_scenario.Scenario.alg)
-  @@ fun () ->
-  let* result = Qp_scenario.Runner.run sc in
-  let open Qp_scenario.Runner in
-  if format = "text" then begin
-    Printf.printf "scenario: %s (read_fraction=%g, %d offered loads)\n"
-      sc.Qp_scenario.Scenario.name sc.Qp_scenario.Scenario.read_fraction
-      (Array.length result.curve);
-    if Array.length result.regions > 0 then
-      Printf.printf "regions: %s\n"
-        (String.concat " " (Array.to_list result.regions));
-    Printf.printf
-      "objective: %.4f  read delay: %.4f  write delay: %.4f  symmetric read \
-       delay: %.4f\n"
-      result.outcome.Outcome.objective result.read_delay result.write_delay
-      result.sym_read_delay;
-    let tbl =
-      Table.create ~title:"latency-throughput curve"
-        [ ("offered", Table.Right); ("throughput", Table.Right);
-          ("accesses", Table.Right); ("mean", Table.Right);
-          ("p50", Table.Right); ("p95", Table.Right); ("max", Table.Right) ]
-    in
-    Array.iter
-      (fun cell ->
-        Table.add_rowf tbl "%g|%.4f|%d|%.3f|%.3f|%.3f|%.3f" cell.offered
-          cell.throughput cell.accesses cell.mean cell.p50 cell.p95 cell.max)
-      result.curve;
-    Table.print tbl
-  end;
-  let doc = Obs.Json.to_string (to_json result) in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc doc;
-      output_char oc '\n';
-      close_out oc
-  | None -> ());
-  print_endline doc;
-  Ok ()
+let read_scenario file =
+  match open_in file with
+  | exception Sys_error msg -> Qp_error.invalid_instancef "scenario: %s" msg
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          Qp_scenario.Scenario.of_string (really_input_string ic (in_channel_length ic)))
+
+let scenario_cmd file jobs format out sinks =
+  match
+    let* () = check_format format in
+    read_scenario file
+  with
+  | Error e -> run_result (Error e)
+  | Ok sc ->
+      let module Scenario = Qp_scenario.Scenario in
+      (* The scenario names a full instance spec, so the shared meta line
+         and telemetry headers describe it exactly like any other
+         subcommand. *)
+      let spec =
+        { Spec.topology = sc.Scenario.topology;
+          nodes = sc.Scenario.nodes;
+          system = sc.Scenario.system;
+          cap_slack = sc.Scenario.cap_slack;
+          seed = sc.Scenario.seed;
+          jobs }
+      in
+      run ~quiet:(format = "json") ~command:"scenario" ~alpha:sc.Scenario.alpha
+        ~algorithm:sc.Scenario.alg { spec; sinks } (Ok ())
+      @@ fun () ->
+      let* result = Qp_scenario.Runner.run sc in
+      let open Qp_scenario.Runner in
+      if format = "text" then begin
+        Printf.printf "scenario: %s (read_fraction=%g, %d offered loads)\n"
+          sc.Scenario.name sc.Scenario.read_fraction (Array.length result.curve);
+        if Array.length result.regions > 0 then
+          Printf.printf "regions: %s\n"
+            (String.concat " " (Array.to_list result.regions));
+        Printf.printf
+          "objective: %.4f  read delay: %.4f  write delay: %.4f  symmetric read \
+           delay: %.4f\n"
+          result.outcome.Outcome.objective result.read_delay result.write_delay
+          result.sym_read_delay;
+        let tbl =
+          Table.create ~title:"latency-throughput curve"
+            [ ("offered", Table.Right); ("throughput", Table.Right);
+              ("accesses", Table.Right); ("mean", Table.Right);
+              ("p50", Table.Right); ("p95", Table.Right); ("max", Table.Right) ]
+        in
+        Array.iter
+          (fun cell ->
+            Table.add_rowf tbl "%g|%.4f|%d|%.3f|%.3f|%.3f|%.3f" cell.offered
+              cell.throughput cell.accesses cell.mean cell.p50 cell.p95 cell.max)
+          result.curve;
+        Table.print tbl
+      end;
+      emit_doc out (to_json result);
+      Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* tail: summarize wide-event JSONL artifacts                          *)
@@ -873,13 +819,16 @@ let wide_t =
                trace context to every request, so client and server files \
                join on trace id (see the tail subcommand).")
 
+let sinks_t =
+  Term.(const (fun trace metrics wide -> { trace; metrics; wide })
+        $ trace_t $ metrics_t $ wide_t)
+
 let common_t =
-  let mk topology nodes system cap_slack seed jobs trace metrics wide =
-    { spec = { Spec.topology; nodes; system; cap_slack; seed; jobs };
-      trace; metrics; wide }
+  let mk topology nodes system cap_slack seed jobs sinks =
+    { spec = { Spec.topology; nodes; system; cap_slack; seed; jobs }; sinks }
   in
   Term.(const mk $ topology_t $ nodes_t $ system_t $ cap_slack_t $ seed_t
-        $ jobs_t $ trace_t $ metrics_t $ wide_t)
+        $ jobs_t $ sinks_t)
 
 let alpha_t =
   Arg.(value & opt float 2.0 & info [ "alpha" ] ~docv:"A"
@@ -974,13 +923,9 @@ let no_repair_t =
   Arg.(value & flag & info [ "no-repair" ]
          ~doc:"Disable the automatic placement-repair trigger.")
 
-let resilience_accesses_t =
-  Arg.(value & opt int 500 & info [ "accesses" ] ~docv:"K"
-         ~doc:"Accesses per client in the simulation.")
-
 let resilience_term =
   Term.(const resilience_cmd $ common_t $ mtbf_t $ mttr_t $ attempts_t
-        $ resilience_accesses_t $ hedge_t $ no_repair_t)
+        $ accesses_t $ hedge_t $ no_repair_t)
 
 let resilience_cmd_info =
   Cmd.info "resilience"
@@ -1110,7 +1055,7 @@ let scenario_format_t =
 
 let scenario_term =
   Term.(const scenario_cmd $ scenario_file_t $ jobs_t $ scenario_format_t
-        $ scenario_out_t $ trace_t $ metrics_t $ wide_t)
+        $ scenario_out_t $ sinks_t)
 
 let scenario_cmd_info =
   Cmd.info "scenario"
@@ -1135,7 +1080,7 @@ let bound_t =
 
 let churn_term =
   Term.(const churn_cmd $ common_t $ mtbf_t $ mttr_t $ attempts_t
-        $ resilience_accesses_t $ bound_t)
+        $ accesses_t $ bound_t)
 
 let churn_cmd_info =
   Cmd.info "churn"

@@ -19,7 +19,8 @@ let filter_column ~alpha column_of n =
       end)
 
 let apply ~alpha (sol : Lp_formulation.fractional) =
-  if alpha <= 1. then invalid_arg "Filtering.apply: alpha > 1 required";
+  if not (alpha > 1. && Float.is_finite alpha) then
+    invalid_arg "Filtering.apply: finite alpha > 1 required";
   Qp_obs.Span.with_ "filtering" ~attrs:[ ("alpha", Qp_obs.Json.Float alpha) ]
   @@ fun () ->
   let n = Array.length sol.Lp_formulation.dist in

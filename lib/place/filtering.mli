@@ -20,7 +20,7 @@ type filtered = {
 }
 
 val apply : alpha:float -> Lp_formulation.fractional -> filtered
-(** @raise Invalid_argument unless [alpha > 1]. *)
+(** @raise Invalid_argument unless [alpha > 1] is finite. *)
 
 val support : filtered -> int -> int list
 (** [support flt u] = ranks [t] with [x_hat_tu > 0] — the set [S_u] of

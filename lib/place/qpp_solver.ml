@@ -25,7 +25,8 @@ type result = {
    so both choose the same placement given the same roundings. Also
    returns the per-candidate bases for the caller to stash. *)
 let solve_with ~alpha ?candidates ~round (p : Problem.qpp) =
-  if alpha <= 1. then invalid_arg "Qpp_solver.solve: alpha > 1 required";
+  if not (alpha > 1. && Float.is_finite alpha) then
+    invalid_arg "Qpp_solver.solve: finite alpha > 1 required";
   let n = Problem.n_nodes p in
   let candidates, complete =
     match candidates with

@@ -35,7 +35,8 @@ val solve :
     SSQPP LP is infeasible for every candidate. [max_pivots] caps the
     simplex pivot count of every candidate LP; exhausting it raises
     [Qp_util.Qp_error.Error (Internal _)] (the solver registry maps it
-    to a typed [Internal] result). *)
+    to a typed [Internal] result). @raise Invalid_argument unless
+    [alpha > 1] is finite: the bound [5 alpha/(alpha-1)] needs it. *)
 
 val solve_with :
   alpha:float ->

@@ -10,7 +10,8 @@ type t = {
 }
 
 let create ?(alpha = 2.) ?max_pivots ?candidates () =
-  if alpha <= 1. then invalid_arg "Resolve.create: alpha > 1 required";
+  if not (alpha > 1. && Float.is_finite alpha) then
+    invalid_arg "Resolve.create: finite alpha > 1 required";
   { alpha; max_pivots; candidates; bases = Hashtbl.create 16; solves = 0 }
 
 let warm_sources t = Hashtbl.length t.bases

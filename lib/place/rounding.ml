@@ -59,7 +59,8 @@ let round_filtered (s : Problem.ssqpp) (flt : Filtering.filtered) =
   result
 
 let solve_warm ?(alpha = 2.) ?max_pivots ?warm (s : Problem.ssqpp) =
-  if alpha <= 1. then invalid_arg "Rounding.solve: alpha > 1 required";
+  if not (alpha > 1. && Float.is_finite alpha) then
+    invalid_arg "Rounding.solve: finite alpha > 1 required";
   match Lp_formulation.solve_warm ?max_pivots ?warm s with
   | None, _ -> None
   | Some sol, basis -> Some (round_filtered s (Filtering.apply ~alpha sol), basis)

@@ -22,7 +22,8 @@ type result = {
 val solve : ?alpha:float -> ?max_pivots:int -> Problem.ssqpp -> result option
 (** [None] when LP (9)–(14) is infeasible. Default [alpha = 2].
     [max_pivots] caps the simplex pivot count
-    ({!Lp_formulation.solve}). *)
+    ({!Lp_formulation.solve}). @raise Invalid_argument unless
+    [alpha > 1] is finite. *)
 
 val solve_warm :
   ?alpha:float ->

@@ -3,10 +3,13 @@ let quorum_masks s =
     (fun q -> Array.fold_left (fun m u -> m lor (1 lsl u)) 0 q)
     (Quorum.quorums s)
 
+(* [p] must lie in [0, 1]; NaN fails this too. *)
+let check_p fn p = if not (p >= 0. && p <= 1.) then invalid_arg (fn ^ ": p out of range")
+
 let failure_probability s p =
   let n = Quorum.universe s in
   if n > 22 then invalid_arg "Availability.failure_probability: universe > 22";
-  if p < 0. || p > 1. then invalid_arg "Availability.failure_probability: p out of range";
+  check_p "Availability.failure_probability" p;
   let masks = quorum_masks s in
   let total = ref 0. in
   (* [alive] ranges over subsets of live nodes; the system is up iff
@@ -29,6 +32,7 @@ let failure_probability s p =
 
 let failure_probability_mc rng s p ~samples =
   if samples <= 0 then invalid_arg "Availability.failure_probability_mc: samples <= 0";
+  check_p "Availability.failure_probability_mc" p;
   let n = Quorum.universe s in
   let masks = quorum_masks s in
   let alive = Array.make n false in

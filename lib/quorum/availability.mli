@@ -10,11 +10,11 @@ val failure_probability : Quorum.system -> float -> float
 (** Exact failure probability under iid failure probability [p],
     by enumeration over the [2^universe] failure patterns.
     @raise Invalid_argument when [universe > 22] (use
-    {!failure_probability_mc}). *)
+    {!failure_probability_mc}) or [p] is outside [[0, 1]] (NaN too). *)
 
 val failure_probability_mc :
   Qp_util.Rng.t -> Quorum.system -> float -> samples:int -> float
-(** Monte-Carlo estimate for larger universes. *)
+(** Monte-Carlo estimate for larger universes. Same [p] check. *)
 
 val resilience : Quorum.system -> int
 (** Size of the smallest transversal minus one: the largest [f] such

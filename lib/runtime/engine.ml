@@ -165,7 +165,7 @@ let validate cfg =
   | Some m ->
       if cfg.repair = None then
         invalid_arg "Engine: migration requires a repair trigger";
-      if m.bound <= 0. then invalid_arg "Engine: migration bound must be positive";
+      if not (m.bound > 0.) then invalid_arg "Engine: migration bound must be positive";
       if m.max_retries < 0 then
         invalid_arg "Engine: migration max_retries must be non-negative";
       if m.retry_backoff < 0. then

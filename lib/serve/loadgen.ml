@@ -240,7 +240,7 @@ let worker cfg ~total_weight ~t_end ~idx ~sample ~sample_lock () =
 let run (cfg : config) =
   if cfg.connections < 1 then
     Qp_error.invalid_instancef "loadgen: connections must be >= 1"
-  else if cfg.duration_s <= 0. then
+  else if not (cfg.duration_s > 0.) then
     Qp_error.invalid_instancef "loadgen: duration must be positive"
   else begin
     let total_weight = List.fold_left (fun a (_, w) -> a +. w) 0. cfg.mix in
@@ -490,37 +490,3 @@ let sweep sc =
         in
         Ok (acc @ List.rev cells))
       (Ok []) sc.server_jobs
-
-let cell_to_json c =
-  let lat p =
-    if Array.length c.sw_report.latencies_ms = 0 then Json.Null
-    else Json.Float (Stats.percentile c.sw_report.latencies_ms p)
-  in
-  let lookups =
-    List.fold_left
-      (fun a k ->
-        a + Option.value ~default:0 (List.assoc_opt k c.sw_cache))
-      0
-      [ "hits"; "misses"; "inflight_joins" ]
-  in
-  let hits = Option.value ~default:0 (List.assoc_opt "hits" c.sw_cache) in
-  Json.Obj
-    [ ("server_jobs", Json.Int c.sw_jobs);
-      ("connections", Json.Int c.sw_connections);
-      ("throughput_rps", Json.Float c.sw_report.throughput_rps);
-      ("completed", Json.Int c.sw_report.completed);
-      ("ok", Json.Int c.sw_report.ok);
-      ("rejected", Json.Int c.sw_report.rejected);
-      ("p50_ms", lat 50.);
-      ("p99_ms", lat 99.);
-      ( "cache",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) c.sw_cache) );
-      ( "cache_hit_rate",
-        if lookups = 0 then Json.Null
-        else Json.Float (float_of_int hits /. float_of_int lookups) ) ]
-
-let sweep_to_json cells =
-  Json.Obj
-    [ ("schema", Json.String "qp-saturation/1");
-      ("version", Json.String Obs.Build_info.version);
-      ("cells", Json.List (List.map cell_to_json cells)) ]

@@ -110,7 +110,3 @@ type sweep_cell = {
 val sweep : sweep_config -> (sweep_cell list, Qp_error.t) result
 (** Cells in sweep order: for each jobs value, each connection count.
     [Error _] when a cell's server cannot start or its run fails. *)
-
-val sweep_to_json : sweep_cell list -> Json.t
-(** [qp-saturation/1] document: one record per cell with throughput,
-    latency percentiles, cache counters and hit rate. *)

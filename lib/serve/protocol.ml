@@ -196,6 +196,12 @@ let options_to_json (o : options) =
       ("deadline_ms", opt (fun v -> Json.Int v) o.deadline_ms);
       ("pivot_budget", opt (fun v -> Json.Int v) o.pivot_budget) ]
 
+let check_options o =
+  match o.pivot_budget with
+  | Some b when b < 0 ->
+      Qp_error.invalid_instancef "pivot budget must be >= 0 (got %d)" b
+  | _ -> Ok o
+
 let options_of_json j =
   match j with
   | Json.Obj _ ->
@@ -212,7 +218,7 @@ let options_of_json j =
       in
       let* deadline_ms = opt_int "deadline_ms" in
       let* pivot_budget = opt_int "pivot_budget" in
-      Ok { algorithm; alpha; deadline_ms; pivot_budget }
+      check_options { algorithm; alpha; deadline_ms; pivot_budget }
   | _ -> Qp_error.invalid_instancef "options must be a JSON object"
 
 let trace_ctx_to_json (t : trace_ctx) =

@@ -52,6 +52,11 @@ type options = {
 
 val default_options : options
 
+val check_options : options -> (options, Qp_error.t) result
+(** The options check shared by the wire ({!request_of_json}) and
+    [qplace solve]/[loadgen]: [Error (Invalid_instance _)] when
+    [pivot_budget < 0]. *)
+
 type trace_ctx = {
   trace_id : string;
       (* client-minted id adopted by the server's wide event *)

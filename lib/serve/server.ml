@@ -849,13 +849,23 @@ let rec loop st =
     loop st
   end
 
-let run ?ready cfg =
-  if cfg.jobs < 1 then
+let check_config cfg =
+  if cfg.port < 0 || cfg.port > 65535 then
+    Qp_error.invalid_instancef "serve: port must be in 0..65535 (got %d)" cfg.port
+  else if cfg.queue_depth < 1 then
+    Qp_error.invalid_instancef "serve: queue depth must be >= 1 (got %d)"
+      cfg.queue_depth
+  else if cfg.jobs < 1 then
     Qp_error.invalid_instancef "serve: jobs must be >= 1 (got %d)" cfg.jobs
   else if cfg.cache_capacity < 0 then
     Qp_error.invalid_instancef "serve: cache capacity must be >= 0 (got %d)"
       cfg.cache_capacity
-  else
+  else Ok ()
+
+let run ?ready cfg =
+  match check_config cfg with
+  | Error _ as e -> e
+  | Ok () ->
     match
       let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.setsockopt fd Unix.SO_REUSEADDR true;

@@ -85,10 +85,14 @@ val default_config : config
     connections, {!Qp_instance.Spec.default}, [jobs = 1],
     [cache_capacity = 256]. *)
 
+val check_config : config -> (unit, Qp_util.Qp_error.t) result
+(** [Error (Invalid_instance _)] unless [0 <= port <= 65535],
+    [queue_depth >= 1], [jobs >= 1] and [cache_capacity >= 0]. *)
+
 val run : ?ready:(int -> unit) -> config -> (unit, Qp_util.Qp_error.t) result
 (** Bind, serve until drained ([shutdown] verb or SIGTERM), then
     return. [ready] is called once with the bound port before the
     first [accept] (how tests and scripts learn an ephemeral port).
     [Error (Invalid_instance _)] when the socket cannot be bound, and
-    when [jobs < 1] or [cache_capacity < 0]. Installs a SIGTERM
-    handler and ignores SIGPIPE for the duration of the call. *)
+    when {!check_config} rejects [config]. Installs a SIGTERM handler
+    and ignores SIGPIPE for the duration of the call. *)

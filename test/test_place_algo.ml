@@ -106,7 +106,7 @@ let test_filtering_rejects_alpha () =
   | None -> Alcotest.fail "feasible"
   | Some sol ->
       Alcotest.check_raises "alpha must exceed 1"
-        (Invalid_argument "Filtering.apply: alpha > 1 required") (fun () ->
+        (Invalid_argument "Filtering.apply: finite alpha > 1 required") (fun () ->
           ignore (Filtering.apply ~alpha:1. sol))
 
 (* ------------------------------------------------------------------ *)

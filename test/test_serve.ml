@@ -147,6 +147,12 @@ let test_request_defaults_and_errors () =
   (match Protocol.request_of_json (Json.of_string {|{"verb":"solve","spec":{"nodes":"many"}}|}) with
   | Error (Qp_error.Invalid_instance _) -> ()
   | _ -> Alcotest.fail "mistyped spec field must be invalid_instance");
+  (match
+     Protocol.request_of_json
+       (Json.of_string {|{"verb":"solve","options":{"pivot_budget":-1}}|})
+   with
+  | Error (Qp_error.Invalid_instance _) -> ()
+  | _ -> Alcotest.fail "negative pivot_budget must be invalid_instance");
   match Protocol.parse_request {|{"id":42,"verb":"nope"}|} with
   | Error (Json.Int 42, _) -> ()
   | _ -> Alcotest.fail "parse_request must recover the id"
@@ -343,6 +349,33 @@ let test_deadline_zero_rejected () =
          Protocol.Solve)
   in
   checks "deadline code" "deadline_exceeded" (Protocol.serve_error_code e)
+
+(* A negative budget is an input error on the wire, not an internal
+   "budget exceeded" failure of the solve. *)
+let test_negative_pivot_budget_rejected () =
+  with_server @@ fun port ->
+  let c = get_ok "connect" (Client.connect ~port ()) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let e =
+    call_err "pivot budget -1" c
+      (Protocol.request
+         ~options:{ Protocol.default_options with Protocol.pivot_budget = Some (-1) }
+         Protocol.Solve)
+  in
+  checks "pivot budget code" "invalid_instance" (Protocol.serve_error_code e)
+
+(* Out-of-range ports used to wrap silently (70000 bound 4464). *)
+let test_config_port_range () =
+  let check port = Server.check_config { Server.default_config with Server.port } in
+  List.iter
+    (fun port ->
+      match check port with
+      | Error (Qp_error.Invalid_instance _) -> ()
+      | _ -> Alcotest.failf "port %d must be rejected" port)
+    [ -1; 65536; 70000 ];
+  List.iter
+    (fun port -> checkb (Printf.sprintf "port %d valid" port) true (check port = Ok ()))
+    [ 0; 65535 ]
 
 let test_malformed_gets_reply_not_hangup () =
   with_server @@ fun port ->
@@ -1194,7 +1227,10 @@ let suites =
         Alcotest.test_case "trace propagation end to end" `Quick
           test_trace_propagation_end_to_end;
         Alcotest.test_case "health/metrics observability" `Quick
-          test_health_and_metrics_observability ] );
+          test_health_and_metrics_observability;
+        Alcotest.test_case "negative pivot budget rejected" `Quick
+          test_negative_pivot_budget_rejected;
+        Alcotest.test_case "config port range" `Quick test_config_port_range ] );
     ( "serve.pool_cache",
       [ Alcotest.test_case "cache hit serves identical bytes" `Quick
           test_cache_hit_serves_identical_bytes;

@@ -99,6 +99,18 @@ let test_source_out_of_range () =
       | Ok _ -> Alcotest.fail (name ^ ": accepted out-of-range source"))
     [ "greedy"; "grid"; "majority" ]
 
+(* The Theorem 1.2 bound 5a/(a-1) needs a finite a > 1: NaN and
+   infinity are bad input, not numerical trouble in the rounding. *)
+let test_nonfinite_alpha_is_typed () =
+  let p = small_problem () in
+  let lp = Solver.find_exn "lp" in
+  List.iter
+    (fun alpha ->
+      match lp.Solver.solve { Solver.default_params with Solver.alpha } p with
+      | Error (Qp_error.Invalid_instance _) -> ()
+      | _ -> Alcotest.failf "lp accepted alpha = %g" alpha)
+    [ Float.nan; Float.infinity ]
+
 let test_infeasible_is_typed () =
   (* Slack below 1 leaves no capacity-respecting placement; solvers
      with a capacity constraint must answer [Infeasible], not crash. *)
@@ -252,6 +264,8 @@ let suites =
         Alcotest.test_case "registry table" `Quick test_registry_table;
         Alcotest.test_case "README table in sync" `Quick test_readme_in_sync;
         Alcotest.test_case "seed solve pivot total" `Quick test_seed_solve_pivots;
+        Alcotest.test_case "non-finite alpha is typed" `Quick
+          test_nonfinite_alpha_is_typed;
       ] );
     ("solver.properties", qcheck_tests);
   ]
