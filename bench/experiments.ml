@@ -1449,22 +1449,20 @@ let e19 () =
     done;
     (Option.get !last, !best)
   in
-  (* Pivot count under a scoped registry: pool workers merge their
-     series back into it, so the sum covers every candidate-source LP
-     and nothing else. *)
-  let pivots_of f =
+  (* Work counters under a scoped registry: pool workers merge their
+     series back into it, so a sum covers the callback's work and
+     nothing else (-1 when the counter was never touched). *)
+  let counted f =
     let reg = Qp_obs.Metrics.create ~enabled:true () in
     let r = Qp_obs.Metrics.with_current reg f in
-    let p =
-      Option.value ~default:0.
-        (List.assoc_opt "qp_simplex_pivots_total"
-           (Qp_obs.Metrics.scalar_series reg))
-    in
-    (r, int_of_float p)
+    let series = Qp_obs.Metrics.scalar_series reg in
+    (r, fun name ->
+          Option.fold ~none:(-1) ~some:int_of_float (List.assoc_opt name series))
   in
-  let (lp_h2h, lp_pivots), lp_wall =
-    time (fun () -> pivots_of (fun () -> solve_with "lp" spec_h2h p_h2h))
+  let (lp_h2h, lp_count), lp_wall =
+    time (fun () -> counted (fun () -> solve_with "lp" spec_h2h p_h2h))
   in
+  let lp_pivots = lp_count "qp_simplex_pivots_total" in
   let tree_nodes =
     match Outcome.detail auto_h2h "search_nodes" with
     | Some v -> int_of_float v
@@ -1507,13 +1505,18 @@ let e19 () =
   let last_wall = ref 0. in
   let completed = ref [] in
   let skipped = ref [] in
+  let heap_free = ref true in
   List.iter
     (fun n ->
       let elapsed = now () -. t_series in
       let projected = elapsed +. Float.max 0.05 (4. *. !last_wall) in
       if n <= 480 || projected <= budget then begin
         let spec = tree_spec ~nodes:n ~system:"grid:2" ~seed:(190 + n) in
-        let p, build_wall = time (fun () -> build spec) in
+        let (p, build_count), build_wall = time (fun () -> counted (fun () -> build spec)) in
+        (* A tree's APSP walks every row and pops no heap entry. *)
+        if build_count "qp_apsp_heap_pops_total" <> 0
+           || build_count "qp_apsp_tree_rows_total" <> n
+        then heap_free := false;
         let o, solve_wall = time (fun () -> solve_with "auto" spec p) in
         let rss_kb =
           match Qp_obs.Core.max_rss_kb () with Some kb -> kb | None -> 0
@@ -1563,6 +1566,7 @@ let e19 () =
   check "auto_work_10x" auto_work_10x;
   check "scaling_reached_10x" (largest_n >= 480);
   check "scaling_cells_clean" cells_clean;
+  check "tree_apsp_heap_free" (!completed <> [] && !heap_free);
   print_endline
     "\nReading: on tree topologies the registry's auto entry routes the solve\n\
      to the exact tree specialist - same optimum as exhaustive search, orders\n\

@@ -1,25 +1,29 @@
 type mat = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let repeated_dijkstra ?pool g =
-  let pool = match pool with Some p -> p | None -> Qp_par.Pool.default () in
-  Qp_par.Pool.parallel_init pool (Graph.n_vertices g) (fun src ->
-      Dijkstra.distances g src)
+let record_work ~heap_pops ~tree_rows =
+  let add name help v =
+    Qp_obs.Metrics.(add (counter ~help (current ()) name) (float_of_int v))
+  in
+  add "qp_apsp_heap_pops_total" "Shortest-path heap pops" heap_pops;
+  add "qp_apsp_tree_rows_total" "Shortest-path rows walked on a tree" tree_rows
 
 let repeated_dijkstra_into ?pool g (d : mat) =
   let pool = match pool with Some p -> p | None -> Qp_par.Pool.default () in
   let n = Graph.n_vertices g in
   if Bigarray.Array1.dim d <> n * n then
     invalid_arg "Apsp.repeated_dijkstra_into: matrix dimension mismatch";
-  (* Each source writes only its own row, so concurrent workers touch
-     disjoint slices of the shared flat matrix. The per-row floats are
-     exactly the boxed path's: same sequential Dijkstra per source. *)
-  ignore
-    (Qp_par.Pool.parallel_init pool n (fun src ->
-         let row = Dijkstra.distances g src in
-         let off = src * n in
-         for j = 0 to n - 1 do
-           Bigarray.Array1.unsafe_set d (off + j) (Array.unsafe_get row j)
-         done))
+  (* Each source writes only its own row, so concurrent chunks touch
+     disjoint slices of the shared flat matrix. *)
+  let c = Dijkstra.csr_of_graph g in
+  let _, heap_pops =
+    Dijkstra.rows pool c (fun src row ->
+        let off = src * n in
+        for j = 0 to n - 1 do
+          Bigarray.Array1.unsafe_set d (off + j) (Array.unsafe_get row j)
+        done;
+        true)
+  in
+  record_work ~heap_pops ~tree_rows:(if Dijkstra.is_tree c then n else 0)
 
 let floyd_warshall g =
   let n = Graph.n_vertices g in

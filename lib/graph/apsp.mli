@@ -10,19 +10,18 @@ type mat = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Flat row-major n*n distance matrix: entry [(i, j)] lives at index
     [i * n + j]. *)
 
-val repeated_dijkstra : ?pool:Qp_par.Pool.t -> Graph.t -> float array array
-(** Distance matrix via n Dijkstra runs; [infinity] for unreachable
-    pairs. The per-source runs are fanned out over [pool] (default:
-    {!Qp_par.Pool.default}); each row is computed independently by a
-    sequential Dijkstra, so the matrix is bit-identical for any worker
-    count. *)
-
 val repeated_dijkstra_into : ?pool:Qp_par.Pool.t -> Graph.t -> mat -> unit
-(** Same floats as {!repeated_dijkstra}, written into a caller-supplied
-    flat matrix of dimension [n * n]. Workers write disjoint rows of
-    the shared buffer, so the result is bit-identical to the boxed
-    path for any worker count. @raise Invalid_argument on a dimension
-    mismatch. *)
+(** Distance matrix by {!Dijkstra.rows} (the tree walk on a tree, else
+    the unboxed heap), written into a caller-supplied flat matrix of
+    dimension [n * n]; [infinity] for unreachable pairs. Rows are
+    independent, so the matrix is bit-identical for any width of
+    [pool] (default: {!Qp_par.Pool.default}). Adds the call's heap
+    pops and walked rows to the current registry's
+    [qp_apsp_heap_pops_total] and [qp_apsp_tree_rows_total] once.
+    @raise Invalid_argument on a dimension mismatch. *)
+
+val record_work : heap_pops:int -> tree_rows:int -> unit
+(** Add one APSP call's work to those two counters. *)
 
 val floyd_warshall : Graph.t -> float array array
 (** Distance matrix via Floyd–Warshall dynamic programming. *)

@@ -24,6 +24,7 @@ let add_edge g u v len =
   check_vertex g u "add_edge";
   check_vertex g v "add_edge";
   if u = v then invalid_arg "Graph.add_edge: self-loop";
+  if not (Float.is_finite len) then invalid_arg "Graph.add_edge: non-finite length";
   if len <= 0. then invalid_arg "Graph.add_edge: non-positive length";
   match edge_length g u v with
   | None ->
@@ -60,28 +61,9 @@ let degree g v =
   List.length g.adj.(v)
 
 let is_connected g =
-  if g.n = 0 then true
-  else begin
-    let seen = Array.make g.n false in
-    let stack = ref [ 0 ] in
-    seen.(0) <- true;
-    let count = ref 1 in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | v :: rest ->
-          stack := rest;
-          List.iter
-            (fun (w, _) ->
-              if not seen.(w) then begin
-                seen.(w) <- true;
-                incr count;
-                stack := w :: !stack
-              end)
-            g.adj.(v)
-    done;
-    !count = g.n
-  end
+  let uf = Union_find.create g.n in
+  iter_edges g (fun u v _ -> ignore (Union_find.union uf u v));
+  Union_find.n_classes uf <= 1
 
 let copy g = { n = g.n; adj = Array.copy g.adj; m = g.m }
 

@@ -2,7 +2,7 @@
 
     Vertices are dense ints [0..n-1]. Parallel edges are collapsed to
     the shortest length; self-loops are rejected. The representation is
-    an adjacency list tuned for Dijkstra scans. *)
+    an adjacency list; {!Dijkstra} snapshots it into flat arrays. *)
 
 type t
 
@@ -15,9 +15,9 @@ val n_edges : t -> int
 
 val add_edge : t -> int -> int -> float -> unit
 (** [add_edge g u v len] inserts the undirected edge [{u,v}] with
-    positive length [len]. If the edge exists, its length becomes
-    [min existing len]. @raise Invalid_argument on self-loops,
-    out-of-range endpoints, or non-positive lengths. *)
+    positive finite length [len]. If the edge exists, its length
+    becomes [min existing len]. @raise Invalid_argument on self-loops,
+    out-of-range endpoints, or non-finite or non-positive lengths. *)
 
 val edge_length : t -> int -> int -> float option
 val neighbors : t -> int -> (int * float) list

@@ -2,8 +2,8 @@
 
     The heap stores [(key, value)] pairs; [pop_min] returns the pair
     with the smallest key. Decrease-key is implemented by reinsertion:
-    callers (Dijkstra, the event simulator) tolerate stale entries by
-    checking a settled set on pop. *)
+    callers ([Qp_runtime.Event]) tolerate stale entries on pop.
+    {!Dijkstra} keeps an unboxed copy of this heap's tie rules. *)
 
 type 'a t
 

@@ -314,10 +314,10 @@ let of_graph_delta ?(cache = true) ~base ~base_graph g =
         | _ ->
             Mutex.protect cache_lock (fun () -> incr cache_partial);
             let d = copy_mat base.d in
-            (* Working graph tracks the edge set matching [d] so the
-               per-row Dijkstra after a tightening sees the right
-               lengths. *)
+            (* Working edge set matching [d], so the rows recomputed
+               after a tightening see the right lengths. *)
             let work = ref (Graph.edges base_graph) in
+            let heap_pops = ref 0 and tree_rows = ref 0 in
             List.iter
               (fun delta ->
                 match delta with
@@ -333,16 +333,18 @@ let of_graph_delta ?(cache = true) ~base ~base_graph g =
                       (match Graph.edge_length g u v with
                       | Some w_new -> (u, v, w_new) :: keep
                       | None -> keep);
-                    let g_work = Graph.of_edges n !work in
-                    List.iter
-                      (fun i ->
-                        let row = Dijkstra.distances g_work i in
-                        let off = i * n in
-                        for j = 0 to n - 1 do
-                          Bigarray.Array1.unsafe_set d (off + j)
-                            (Array.unsafe_get row j)
-                        done)
-                      rows;
+                    let c = Dijkstra.csr_of_edges n (Array.of_list !work) in
+                    let _, pops =
+                      Dijkstra.rows ~sources:(Array.of_list rows)
+                        (Qp_par.Pool.default ()) c (fun i row ->
+                          for j = 0 to n - 1 do
+                            Bigarray.Array1.unsafe_set d ((i * n) + j)
+                              (Array.unsafe_get row j)
+                          done;
+                          true)
+                    in
+                    heap_pops := !heap_pops + pops;
+                    if Dijkstra.is_tree c then tree_rows := !tree_rows + List.length rows;
                     (* Restore exact symmetry: column entries of
                        recomputed rows. *)
                     List.iter
@@ -353,6 +355,7 @@ let of_graph_delta ?(cache = true) ~base ~base_graph g =
                         done)
                       rows)
               deltas;
+            Apsp.record_work ~heap_pops:!heap_pops ~tree_rows:!tree_rows;
             if cache then cache_insert key { n; d };
             { n; d })
   end

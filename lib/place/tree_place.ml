@@ -76,49 +76,26 @@ let mst_parent metric =
 let verify_tol = 1e-6
 
 (* Check that summing MST edges along tree paths reproduces the whole
-   matrix, one source row per pool element (deterministic: each row is
-   an independent boolean). *)
+   matrix: the shortest-path kernel's tree walk over a CSR of the MST,
+   rows in chunks over the pool (deterministic: each row is an
+   independent boolean). *)
 let is_tree_metric ?pool metric =
   let n = Metric.size metric in
   if n <= 2 then true
   else begin
     let pool = match pool with Some p -> p | None -> Qp_par.Pool.default () in
     let parent = mst_parent metric in
-    let adj = Array.make n [] in
-    for v = 1 to n - 1 do
-      let u = parent.(v) in
-      let w = Metric.dist metric u v in
-      adj.(v) <- (u, w) :: adj.(v);
-      adj.(u) <- (v, w) :: adj.(u)
-    done;
-    let row_ok s =
-      let dist = Array.make n infinity in
-      dist.(s) <- 0.;
-      let stack = ref [ s ] in
-      let rec walk () =
-        match !stack with
-        | [] -> ()
-        | v :: rest ->
-            stack := rest;
-            List.iter
-              (fun (u, w) ->
-                if dist.(u) = infinity then begin
-                  dist.(u) <- dist.(v) +. w;
-                  stack := u :: !stack
-                end)
-              adj.(v);
-            walk ()
-      in
-      walk ();
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        let dm = Metric.unsafe_dist metric s v in
-        if Float.abs (dist.(v) -. dm) > verify_tol *. Float.max 1. dm then
-          ok := false
-      done;
-      !ok
-    in
-    Array.for_all Fun.id (Qp_par.Pool.parallel_init pool n row_ok)
+    let edge i = (i + 1, parent.(i + 1), Metric.dist metric parent.(i + 1) (i + 1)) in
+    let mst = Qp_graph.Dijkstra.csr_of_edges n (Array.init (n - 1) edge) in
+    fst
+      (Qp_graph.Dijkstra.rows pool mst (fun s dist ->
+           let ok = ref true in
+           for v = 0 to n - 1 do
+             let dm = Metric.unsafe_dist metric s v in
+             if Float.abs (dist.(v) -. dm) > verify_tol *. Float.max 1. dm then
+               ok := false
+           done;
+           !ok))
   end
 
 (* ------------------------------------------------------------------ *)

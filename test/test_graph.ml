@@ -68,6 +68,19 @@ let test_graph_rejects () =
   Alcotest.check_raises "out of range" (Invalid_argument "Graph.add_edge: vertex out of range")
     (fun () -> Graph.add_edge g 0 7 1.0)
 
+let test_graph_rejects_non_finite () =
+  let g = Graph.create 2 in
+  List.iter
+    (fun (name, len, msg) ->
+      Alcotest.check_raises name (Invalid_argument ("Graph.add_edge: " ^ msg))
+        (fun () -> Graph.add_edge g 0 1 len))
+    [ ("nan", Float.nan, "non-finite length");
+      ("+inf", infinity, "non-finite length");
+      ("-inf", neg_infinity, "non-finite length");
+      ("zero", 0., "non-positive length");
+      ("negative", -1., "non-positive length") ];
+  Alcotest.(check int) "no edge inserted" 0 (Graph.n_edges g)
+
 let test_graph_connectivity () =
   let g = Graph.create 4 in
   Graph.add_edge g 0 1 1.;
@@ -132,12 +145,141 @@ let random_connected_graph seed n =
 let test_apsp_dijkstra_equals_floyd () =
   for seed = 1 to 10 do
     let g = random_connected_graph seed 20 in
-    let a = Apsp.repeated_dijkstra g in
+    let a = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout (20 * 20) in
+    Apsp.repeated_dijkstra_into g a;
     let b = Apsp.floyd_warshall g in
     for i = 0 to 19 do
       for j = 0 to 19 do
-        Alcotest.(check bool) "apsp agree" true (Float.abs (a.(i).(j) -. b.(i).(j)) < 1e-9)
+        Alcotest.(check bool) "apsp agree" true
+          (Float.abs (Bigarray.Array1.get a ((i * 20) + j) -. b.(i).(j)) < 1e-9)
       done
+    done
+  done
+
+(* Textbook O(n^2) Dijkstra: settle the closest unsettled vertex by an
+   array scan, no heap. The oracle for the flat kernel's rows. *)
+let textbook_dijkstra g src =
+  let n = Graph.n_vertices g in
+  let dist = Array.make n infinity and settled = Array.make n false in
+  dist.(src) <- 0.;
+  for _ = 1 to n do
+    let v = ref (-1) in
+    for u = 0 to n - 1 do
+      if (not settled.(u)) && dist.(u) < infinity
+         && (!v < 0 || dist.(u) < dist.(!v))
+      then v := u
+    done;
+    if !v >= 0 then begin
+      let v = !v in
+      settled.(v) <- true;
+      Graph.iter_neighbors g v (fun w len ->
+          if dist.(v) +. len < dist.(w) then dist.(w) <- dist.(v) +. len)
+    end
+  done;
+  dist
+
+(* The pre-kernel Dijkstra on the generic [Heap] and [Graph] lists:
+   the flat heap must reproduce its pop order, hence its parents, also
+   among the many equal keys of unit-length graphs. *)
+let heap_dijkstra g src =
+  let n = Graph.n_vertices g in
+  let dist = Array.make n infinity and parent = Array.make n (-1) in
+  let settled = Array.make n false and heap = Heap.create () in
+  dist.(src) <- 0.;
+  Heap.push heap 0. src;
+  let rec loop () =
+    match Heap.pop_min heap with
+    | None -> ()
+    | Some (d, v) ->
+        if not settled.(v) then begin
+          settled.(v) <- true;
+          Graph.iter_neighbors g v (fun w len ->
+              if d +. len < dist.(w) then begin
+                dist.(w) <- d +. len;
+                parent.(w) <- v;
+                Heap.push heap (d +. len) w
+              end)
+        end;
+        loop ()
+  in
+  loop ();
+  (dist, parent)
+
+let test_parents_match_heap_dijkstra () =
+  let rng = Rng.create 11 in
+  List.iter
+    (fun g ->
+      for src = 0 to Graph.n_vertices g - 1 do
+        Alcotest.(check bool) "same distances and parents" true
+          (Dijkstra.distances_with_parents g src = heap_dijkstra g src)
+      done)
+    [ Generators.grid2d 5 6; Generators.torus2d 4 5; Generators.cycle 9;
+      Generators.complete 7; Generators.barbell 5; random_connected_graph 4 25;
+      Generators.erdos_renyi rng 30 0.2 ]
+
+let with_default_jobs jobs f =
+  Qp_par.Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Qp_par.Pool.set_default_jobs 1) f
+
+(* (topology, extra nodes): a region table needs a node per region. *)
+let topology_families =
+  List.map (fun t -> (t, 0)) [ "tree"; "path"; "star"; "waxman"; "geometric" ]
+  @ List.map (fun r -> ("region:" ^ r, 9)) (Qp_instance.Region.names ())
+
+(* Every cell of the flat metric, tree walk or heap, carries the
+   oracle's exact bits at pool widths 1 and 3. *)
+let prop_metric_equals_textbook =
+  QCheck.Test.make ~name:"Metric.of_graph = textbook Dijkstra bitwise"
+    ~count:60
+    QCheck.(triple (int_range 0 (List.length topology_families - 1))
+              (int_range 1 40) small_int)
+    (fun (fam, n, seed) ->
+      let name, extra = List.nth topology_families fam in
+      let n = n + extra in
+      match Qp_instance.Spec.build_topology name n (Rng.create seed) with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok g ->
+          let oracle = Array.init n (textbook_dijkstra g) in
+          List.for_all
+            (fun jobs ->
+              let m = with_default_jobs jobs (fun () -> Metric.of_graph ~cache:false g) in
+              let ok = ref true in
+              for i = 0 to n - 1 do
+                for j = 0 to n - 1 do
+                  if Int64.bits_of_float (Metric.dist m i j)
+                     <> Int64.bits_of_float oracle.(i).(j)
+                  then ok := false
+                done
+              done;
+              !ok)
+            [ 1; 3 ])
+
+let apsp_work g =
+  let n = Graph.n_vertices g in
+  let d = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout (n * n) in
+  let reg = Qp_obs.Metrics.create () in
+  Qp_obs.Metrics.with_current reg (fun () -> Apsp.repeated_dijkstra_into g d);
+  let series = Qp_obs.Metrics.scalar_series reg in
+  let get name = int_of_float (List.assoc name series) in
+  (d, get "qp_apsp_heap_pops_total", get "qp_apsp_tree_rows_total")
+
+let test_apsp_tree_walk_counters () =
+  let _, pops, walked = apsp_work (Generators.random_tree (Rng.create 3) 30) in
+  Alcotest.(check (pair int int)) "tree: no heap, every row walked" (0, 30)
+    (pops, walked);
+  let _, pops, walked = apsp_work (Generators.cycle 30) in
+  Alcotest.(check bool) "cycle: heap rows" true (pops > 0 && walked = 0)
+
+(* n - 1 edges but disconnected: a triangle plus an isolated vertex has
+   a cycle, so the kernel must not walk it. *)
+let test_apsp_disconnected_n_minus_1_edges () =
+  let g = Graph.of_edges 4 [ (0, 1, 1.); (1, 2, 1.); (0, 2, 1.) ] in
+  let d, _, walked = apsp_work g in
+  Alcotest.(check int) "not walked" 0 walked;
+  for i = 0 to 3 do
+    for j = 0 to 3 do
+      let expect = if i = j then 0. else if i = 3 || j = 3 then infinity else 1. in
+      Alcotest.(check (float 0.)) "cell" expect (Bigarray.Array1.get d ((i * 4) + j))
     done
   done
 
@@ -319,7 +461,8 @@ let prop_mst_weight_leq_any_spanning_subgraph =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_dijkstra_triangle; prop_heap_sorts; prop_mst_weight_leq_any_spanning_subgraph ]
+    [ prop_dijkstra_triangle; prop_heap_sorts; prop_mst_weight_leq_any_spanning_subgraph;
+      prop_metric_equals_textbook ]
 
 let suites =
   [
@@ -335,6 +478,7 @@ let suites =
         Alcotest.test_case "rejects invalid edges" `Quick test_graph_rejects;
         Alcotest.test_case "connectivity" `Quick test_graph_connectivity;
         Alcotest.test_case "iter_edges visits once" `Quick test_graph_iter_edges_once;
+        Alcotest.test_case "rejects non-finite lengths" `Quick test_graph_rejects_non_finite;
       ] );
     ( "graph.shortest_paths",
       [
@@ -343,6 +487,11 @@ let suites =
         Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
         Alcotest.test_case "path reconstruction" `Quick test_dijkstra_path_reconstruction;
         Alcotest.test_case "dijkstra = floyd-warshall" `Quick test_apsp_dijkstra_equals_floyd;
+        Alcotest.test_case "parents = generic-heap Dijkstra" `Quick
+          test_parents_match_heap_dijkstra;
+        Alcotest.test_case "tree walk work counters" `Quick test_apsp_tree_walk_counters;
+        Alcotest.test_case "disconnected n-1 edges terminates" `Quick
+          test_apsp_disconnected_n_minus_1_edges;
       ] );
     ( "graph.metric",
       [

@@ -1,7 +1,7 @@
 (* Solve-core scaling layer (DESIGN.md section 15): the flat Bigarray
    metric representation and the exact tree specialist behind the
    registry's auto dispatch. Every property here pins a NEW code path
-   to an OLD oracle: flat vs boxed APSP, branch-and-bound vs
+   to an OLD oracle: flat vs per-source APSP, branch-and-bound vs
    exhaustive search. *)
 
 module Rng = Qp_util.Rng
@@ -46,20 +46,21 @@ let random_connected_graph_n n seed =
 let alloc_mat n =
   Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout (n * n)
 
-(* Bit-for-bit: the flat representation behind [Metric.of_graph] must
-   reproduce the boxed repeated-Dijkstra floats exactly — same
-   algorithm, same summation order, different storage. *)
+(* Bit-for-bit: the flat matrix behind [Metric.of_graph] must
+   reproduce the single-source heap Dijkstra floats exactly — same
+   summation order, different storage (and, on trees, no heap). *)
 let prop_flat_equals_boxed_dijkstra =
-  QCheck.Test.make ~name:"flat Metric.of_graph = boxed Dijkstra bit-for-bit"
+  QCheck.Test.make
+    ~name:"flat Metric.of_graph = per-source Dijkstra.distances bit-for-bit"
     ~count:100 QCheck.small_int (fun seed ->
       let g = random_connected_graph (seed + 100) in
       let n = Graph.n_vertices g in
-      let boxed = Apsp.repeated_dijkstra g in
       let m = Metric.of_graph ~cache:false g in
       let ok = ref true in
       for i = 0 to n - 1 do
+        let row = Qp_graph.Dijkstra.distances g i in
         for j = 0 to n - 1 do
-          if Metric.dist m i j <> boxed.(i).(j) then ok := false
+          if Metric.dist m i j <> row.(j) then ok := false
         done
       done;
       !ok)
@@ -126,23 +127,31 @@ let test_blocked_fw_above_block_size () =
   Alcotest.(check bool) "n=100 blocked FW matches boxed within tolerance" true
     (fw_close_to_boxed (random_connected_graph_n 100 7))
 
-(* [repeated_dijkstra_into] writes the same floats as the boxed path
-   into a caller-supplied flat buffer (disjoint rows per worker). *)
+(* [repeated_dijkstra_into] writes the per-source Dijkstra floats into
+   a caller-supplied flat buffer (disjoint row chunks per worker), at
+   pool widths 1 and 3 alike. *)
 let prop_dijkstra_into_equals_boxed =
-  QCheck.Test.make ~name:"repeated_dijkstra_into = boxed rows bit-for-bit"
+  QCheck.Test.make
+    ~name:"repeated_dijkstra_into at widths 1 and 3 = Dijkstra rows bit-for-bit"
     ~count:60 QCheck.small_int (fun seed ->
       let g = random_connected_graph (seed + 900) in
       let n = Graph.n_vertices g in
-      let boxed = Apsp.repeated_dijkstra g in
-      let flat = alloc_mat n in
-      Apsp.repeated_dijkstra_into g flat;
+      let rows = Array.init n (Qp_graph.Dijkstra.distances g) in
       let ok = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if Bigarray.Array1.get flat ((i * n) + j) <> boxed.(i).(j) then
-            ok := false
-        done
-      done;
+      List.iter
+        (fun jobs ->
+          let flat = alloc_mat n in
+          let pool = Qp_par.Pool.create ~jobs in
+          Fun.protect
+            ~finally:(fun () -> Qp_par.Pool.shutdown pool)
+            (fun () -> Apsp.repeated_dijkstra_into ~pool g flat);
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              if Bigarray.Array1.get flat ((i * n) + j) <> rows.(i).(j) then
+                ok := false
+            done
+          done)
+        [ 1; 3 ];
       !ok)
 
 (* The cache-footprint gauge: 8 bytes per matrix cell per resident
@@ -322,11 +331,38 @@ let test_metric_dist_bounds () =
   Alcotest.(check bool) "i = n raises" true (raises 4 1);
   Alcotest.(check bool) "i < 0 raises" true (raises (-1) 1)
 
+(* The tree check accepts every generated tree metric, at pool widths
+   1 and 3, and refuses it once one symmetric pair moves by 1e-3. *)
+let prop_tree_check_exact =
+  QCheck.Test.make
+    ~name:"is_tree_metric accepts trees, rejects a perturbed pair"
+    ~count:100
+    QCheck.(pair small_int (int_range 3 60))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let m = Metric.of_graph ~cache:false (Qp_graph.Generators.random_tree rng n) in
+      let i = Rng.int rng n in
+      let j = (i + 1 + Rng.int rng (n - 1)) mod n in
+      let d = Array.init n (fun a -> Array.init n (Metric.dist m a)) in
+      d.(i).(j) <- d.(i).(j) +. 1e-3;
+      d.(j).(i) <- d.(i).(j);
+      let perturbed = Metric.of_matrix d in
+      List.for_all
+        (fun jobs ->
+          let pool = Qp_par.Pool.create ~jobs in
+          Fun.protect
+            ~finally:(fun () -> Qp_par.Pool.shutdown pool)
+            (fun () ->
+              Tree_place.is_tree_metric ~pool m
+              && not (Tree_place.is_tree_metric ~pool perturbed)))
+        [ 1; 3 ])
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_flat_equals_boxed_dijkstra; prop_blocked_fw_equals_boxed;
       prop_blocked_fw_multiblock; prop_dijkstra_into_equals_boxed;
-      prop_tree_equals_exhaustive; prop_tree_no_worse_than_lp ]
+      prop_tree_equals_exhaustive; prop_tree_no_worse_than_lp;
+      prop_tree_check_exact ]
 
 let suites =
   [
