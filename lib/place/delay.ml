@@ -1,24 +1,42 @@
 module Metric = Qp_graph.Metric
 module Quorum = Qp_quorum.Quorum
 
+(* Plain loops in the order of the folds they replace (left to right,
+   starting from 0.), so every sum and max is bit-identical; no closure
+   or boxed accumulator per quorum or element. *)
 let quorum_max_delay (p : Problem.qpp) f v qi =
-  let q = Quorum.quorum p.Problem.system qi in
-  Array.fold_left
-    (fun acc u -> Float.max acc (Metric.dist p.Problem.metric v f.(u)))
-    0. q
-
-let quorum_total_delay (p : Problem.qpp) f v qi =
-  let q = Quorum.quorum p.Problem.system qi in
-  Array.fold_left (fun acc u -> acc +. Metric.dist p.Problem.metric v f.(u)) 0. q
-
-let expected_over_quorums (p : Problem.qpp) per_quorum =
+  let q = Quorum.quorum p.Problem.system qi and m = p.Problem.metric in
   let acc = ref 0. in
-  Array.iteri (fun qi pq -> if pq > 0. then acc := !acc +. (pq *. per_quorum qi)) p.Problem.strategy;
+  for i = 0 to Array.length q - 1 do
+    acc := Float.max !acc (Metric.dist m v f.(q.(i)))
+  done;
   !acc
 
-let client_max_delay p f v = expected_over_quorums p (quorum_max_delay p f v)
+let quorum_total_delay (p : Problem.qpp) f v qi =
+  let q = Quorum.quorum p.Problem.system qi and m = p.Problem.metric in
+  let acc = ref 0. in
+  for i = 0 to Array.length q - 1 do
+    acc := !acc +. Metric.dist m v f.(q.(i))
+  done;
+  !acc
 
-let client_total_delay p f v = expected_over_quorums p (quorum_total_delay p f v)
+(* Sum over quorums of p(Q) times the per-quorum delay, skipping
+   zero-probability quorums. [total] picks gamma over delta. *)
+let expected_over_quorums (p : Problem.qpp) ~total f v =
+  let strategy = p.Problem.strategy in
+  let acc = ref 0. in
+  for qi = 0 to Array.length strategy - 1 do
+    let pq = strategy.(qi) in
+    if pq > 0. then
+      acc :=
+        !acc
+        +. (pq *. if total then quorum_total_delay p f v qi else quorum_max_delay p f v qi)
+  done;
+  !acc
+
+let client_max_delay p f v = expected_over_quorums p ~total:false f v
+
+let client_total_delay p f v = expected_over_quorums p ~total:true f v
 
 (* Per-client delays evaluated over the default domain pool. The
    reduction below always runs sequentially in client order, so the

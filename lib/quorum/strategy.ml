@@ -36,8 +36,6 @@ let system_load s p = Array.fold_left Float.max 0. (loads s p)
 
 let total_load s p = Array.fold_left ( +. ) 0. (loads s p)
 
-let sample rng p = Qp_util.Rng.categorical rng p
-
 let reweight p w =
   let scaled =
     Array.mapi

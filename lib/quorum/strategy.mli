@@ -29,9 +29,6 @@ val system_load : Quorum.system -> t -> float
 val total_load : Quorum.system -> t -> float
 (** Sum of element loads = expected accessed quorum size. *)
 
-val sample : Qp_util.Rng.t -> t -> int
-(** Draws a quorum index from the distribution. *)
-
 val reweight : t -> (int -> float) -> t option
 (** [reweight p w] multiplies each [p.(i)] by the non-negative factor
     [w i] and renormalizes — the primitive behind adaptive access

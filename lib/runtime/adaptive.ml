@@ -30,17 +30,25 @@ type cached = {
   mutable placement : Placement.t;
   mutable version : int;
   mutable current : Strategy.t;
+  mutable sampler : Qp_util.Rng.sampler;
 }
 
 let make system placement ~static =
-  { system; static; placement; version = -1; current = static }
+  let sampler = Qp_util.Rng.sampler static in
+  { system; static; placement; version = -1; current = static; sampler }
 
 let refresh c detector =
   if c.version <> Detector.version detector then begin
     c.version <- Detector.version detector;
-    c.current <- strategy c.system c.placement detector ~static:c.static
+    let next = strategy c.system c.placement detector ~static:c.static in
+    if next != c.current then c.sampler <- Qp_util.Rng.sampler next;
+    c.current <- next
   end;
   c.current
+
+let sampler c detector =
+  ignore (refresh c detector);
+  c.sampler
 
 let set_placement c detector placement =
   c.placement <- placement;

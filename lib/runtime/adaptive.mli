@@ -51,5 +51,9 @@ val make :
 val refresh : cached -> Detector.t -> Qp_quorum.Strategy.t
 (** Current strategy, rebuilt if stale. *)
 
+val sampler : cached -> Detector.t -> Qp_util.Rng.sampler
+(** The {!Qp_util.Rng.sampler} of the current strategy, after a
+    {!refresh}; rebuilt only when the strategy itself is. *)
+
 val set_placement : cached -> Detector.t -> Qp_place.Placement.t -> unit
 (** Invalidate after a repair moved elements. *)

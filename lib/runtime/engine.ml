@@ -311,8 +311,11 @@ let run cfg =
     | None -> ()
   in
   let adaptive = Adaptive.make system !(st.placement) ~static in
-  let current_strategy () =
-    if cfg.adaptive then Adaptive.refresh adaptive detector else static
+  (* The quorum sampler is built once for the static strategy and, when
+     adaptive, rebuilt only with the detector-versioned strategy. *)
+  let static_sampler = Rng.sampler static in
+  let current_sampler () =
+    if cfg.adaptive then Adaptive.sampler adaptive detector else static_sampler
   in
   (* Heartbeat monitors: each node is probed every probe_interval,
      phase-shifted at random so probes do not arrive in lockstep. The
@@ -551,7 +554,7 @@ let run cfg =
           st.hedges_launched <- st.hedges_launched + 1;
           Obs.Metrics.inc obs.m_hedges_launched
         end;
-        let qi = Strategy.sample rng (current_strategy ()) in
+        let qi = Rng.draw rng (current_sampler ()) in
         let q = Quorum.quorum system qi in
         let hosts =
           List.sort_uniq compare
@@ -626,6 +629,7 @@ let run cfg =
     end
   done;
   Event.run sim;
+  Event.publish_events sim;
   Obs.Span.add_attr "accesses" (Obs.Json.Int !accesses);
   Obs.Span.add_attr "successes" (Obs.Json.Int st.successes);
   Obs.Span.add_attr "repairs" (Obs.Json.Int (List.length st.repairs));

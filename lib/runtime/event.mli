@@ -1,9 +1,10 @@
 (** Minimal discrete-event simulation engine.
 
     Events are closures scheduled at absolute times; the engine pops
-    them in time order (deterministic but unspecified order among
-    equal timestamps) and runs them. Event handlers may schedule
-    further events.
+    them in time order and runs them. Among equal timestamps the order
+    is fixed by {!Qp_graph.Heap}'s tie rules, so it is deterministic,
+    and with it the order of every random draw a handler makes. Event
+    handlers may schedule further events.
 
     This is the substrate shared by the access simulator
     ({!Qp_sim.Access_sim}) and the resilience {!Engine}, which also
@@ -35,3 +36,8 @@ val stop : t -> unit
     queue. *)
 
 val events_processed : t -> int
+
+val publish_events : t -> unit
+(** Adds {!events_processed} to the [qp_sim_events_total] counter of
+    the current {!Qp_obs.Metrics} registry. Each simulator run calls it
+    once, after its {!run}. *)

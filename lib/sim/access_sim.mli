@@ -60,3 +60,11 @@ type report = {
 }
 
 val run : config -> report
+(** Runs the simulation. The quorum sampler is built once per run, and
+    the number of discrete events processed is added to the
+    [qp_sim_events_total] counter of the current registry.
+    @raise Invalid_argument before any event is scheduled unless the
+    placement is valid, [accesses_per_client > 0], [arrival_rate] is
+    positive (not NaN), [jitter] is non-negative and finite, a [Fixed]
+    service time is non-negative and finite and an [Exponential] mean
+    is positive and finite. *)

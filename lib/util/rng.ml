@@ -73,15 +73,39 @@ let sample_distinct t k n =
   done;
   !acc
 
-let categorical t w =
-  let total = Array.fold_left ( +. ) 0. w in
-  if total <= 0. then invalid_arg "Rng.categorical: weights must have positive sum";
-  let r = float t total in
-  let n = Array.length w in
-  let rec go i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if r < acc then i else go (i + 1) acc
-  in
-  go 0 0.
+(* Prefix sums in the left-to-right order of [Array.fold_left ( +. )],
+   so a draw of [float t total] and the first [i] with [r < cum.(i)]
+   pick the index a linear scan accumulating the same sums picks. The
+   weights are non-negative, so [cum] is non-decreasing and the first
+   such [i] can be found by binary search. *)
+type sampler = float array
+
+let sampler w =
+  let m = Array.length w in
+  if m = 0 then invalid_arg "Rng.sampler: empty weights";
+  let cum = Array.make m 0. in
+  let acc = ref 0. in
+  for i = 0 to m - 1 do
+    let x = w.(i) in
+    if not (Float.is_finite x && x >= 0.) then
+      invalid_arg "Rng.sampler: weights must be finite and non-negative";
+    acc := !acc +. x;
+    cum.(i) <- !acc
+  done;
+  if not (!acc > 0. && Float.is_finite !acc) then
+    invalid_arg "Rng.sampler: weights must have positive sum";
+  cum
+
+let draw t cum =
+  let last = Array.length cum - 1 in
+  let r = float t cum.(last) in
+  (* The answer lies in [lo, hi]; [last] is the fallback when [r]
+     reaches no earlier prefix sum. *)
+  let lo = ref 0 and hi = ref last in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if r < Array.unsafe_get cum mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let categorical t w = draw t (sampler w)

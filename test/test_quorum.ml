@@ -94,8 +94,9 @@ let test_strategy_sampling_frequencies () =
   let rng = Rng.create 99 in
   let counts = Array.make 3 0 in
   let trials = 50_000 in
+  let sampler = Rng.sampler p in
   for _ = 1 to trials do
-    let i = Strategy.sample rng p in
+    let i = Rng.draw rng sampler in
     counts.(i) <- counts.(i) + 1
   done;
   Array.iteri
@@ -298,11 +299,86 @@ let prop_loads_sum_rule =
       let p = Strategy.uniform s in
       Float.abs (Strategy.total_load s p -. float_of_int ((2 * k) - 1)) < 1e-9)
 
+(* The linear-scan categorical the prefix-sum sampler replaced, kept
+   as the oracle: one [Rng.float] of the total, then the first index
+   whose running sum exceeds it, the last index as the fallback. *)
+let linear_categorical rng w =
+  let total = Array.fold_left ( +. ) 0. w in
+  let r = Rng.float rng total in
+  let n = Array.length w in
+  let rec go i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. w.(i) in
+      if r < acc then i else go (i + 1) acc
+  in
+  go 0 0.
+
+(* Both draw the same index sequence from one seed and leave the two
+   generators in the same state. *)
+let same_draws ~seed ~draws w =
+  let a = Rng.create seed and b = Rng.create seed in
+  let sampler = Rng.sampler w in
+  let ok = ref true in
+  for _ = 1 to draws do
+    if Rng.draw a sampler <> linear_categorical b w then ok := false
+  done;
+  !ok && Rng.int64 a = Rng.int64 b
+
+(* Unnormalised weights built from runs of zeros and runs of values
+   (some tiny), single non-zero weights, and length-1 arrays. *)
+let gen_weights =
+  let open QCheck.Gen in
+  let value = frequency [ (4, float_range 0. 10.); (1, float_range 0. 1e-9); (1, return 1e6) ] in
+  let run =
+    int_range 1 6 >>= fun len ->
+    bool >>= fun zero -> if zero then return (List.init len (fun _ -> 0.)) else list_repeat len value
+  in
+  let runs =
+    list_size (int_range 1 12) run >>= fun rs ->
+    let w = Array.of_list (List.concat rs) in
+    if Array.exists (fun x -> x > 0.) w then return w
+    else int_range 0 (Array.length w - 1) >|= fun i -> w.(i) <- 1.; w
+  in
+  let single =
+    int_range 1 50 >>= fun n ->
+    int_range 0 (n - 1) >>= fun i ->
+    float_range 1e-6 1e3 >|= fun x -> Array.init n (fun j -> if j = i then x else 0.)
+  in
+  let one = float_range 1e-6 1e3 >|= fun x -> [| x |] in
+  frequency [ (4, runs); (2, single); (1, one) ]
+
+let prop_sampler_matches_linear_scan =
+  QCheck.Test.make ~name:"sampler = linear-scan categorical" ~count:300
+    QCheck.(pair small_nat (make ~print:Print.(array float) gen_weights))
+    (fun (seed, w) -> same_draws ~seed ~draws:200 w)
+
+(* The 126-quorum majority:9:5 uniform strategy and, over its 252-quorum
+   read/write embedding, the 75/25 mix and the read-only strategy (126
+   zero weights in one run). *)
+let prop_sampler_matches_on_majority =
+  let majority = Majority_qs.make ~n:9 ~t:5 in
+  let rw =
+    match Rw_qs.majority ~n:9 ~r:5 ~w:5 with Ok rw -> rw | Error _ -> assert false
+  in
+  let read = Strategy.uniform (Rw_qs.reads rw) and write = Strategy.uniform (Rw_qs.writes rw) in
+  let strategies =
+    [ Strategy.uniform majority;
+      Rw_qs.mixed rw ~read ~write ~read_fraction:0.75;
+      Rw_qs.read_only rw ~read ]
+  in
+  QCheck.Test.make ~name:"sampler = linear scan on majority strategies" ~count:20
+    QCheck.small_nat
+    (fun seed ->
+      List.map Array.length strategies = [ 126; 252; 252 ]
+      && List.for_all (same_draws ~seed ~draws:2000) strategies)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_grid_intersecting; prop_majority_intersecting; prop_walls_intersecting;
-      prop_loads_sum_rule;
+      prop_loads_sum_rule; prop_sampler_matches_linear_scan;
+      prop_sampler_matches_on_majority;
     ]
 
 let suites =

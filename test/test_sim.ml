@@ -242,6 +242,80 @@ let test_conservation_invariants () =
   in
   check_float "mean decomposition" r.Access_sim.mean_delay mean_of_means
 
+(* A waxman n = 8 majority:3:2 instance in round-trip mode, where a
+   bad service time, jitter or arrival rate used to run to completion
+   and report a silently wrong delay. *)
+let waxman_round_trip () =
+  let spec =
+    { Qp_instance.Spec.default with topology = "waxman"; nodes = 8; system = "majority:3:2" }
+  in
+  let problem =
+    match Qp_instance.Spec.build spec with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (Qp_util.Qp_error.to_string e)
+  in
+  let n = Problem.n_nodes problem in
+  let placement = Array.init (Problem.n_elements problem) (fun u -> u mod n) in
+  { (Access_sim.default_config ~problem ~placement) with
+    Access_sim.round_trip = true;
+    accesses_per_client = 20 }
+
+(* The config is rejected before anything runs: no metric series was
+   registered in a scoped registry, so no access was simulated. *)
+let rejects msg cfg () =
+  let reg = Qp_obs.Metrics.create ~enabled:true () in
+  Alcotest.check_raises msg (Invalid_argument ("Access_sim.run: " ^ msg)) (fun () ->
+      ignore (Qp_obs.Metrics.with_current reg (fun () -> Access_sim.run cfg)));
+  Alcotest.(check int) "nothing simulated" 0
+    (List.length (Qp_obs.Metrics.scalar_series reg))
+
+let test_rejects_nan_fixed_service () =
+  let cfg = waxman_round_trip () in
+  rejects "fixed service time must be non-negative and finite"
+    { cfg with Access_sim.service = Access_sim.Fixed nan } ()
+
+let test_rejects_negative_fixed_service () =
+  let cfg = waxman_round_trip () in
+  rejects "fixed service time must be non-negative and finite"
+    { cfg with Access_sim.service = Access_sim.Fixed (-1.) } ()
+
+let test_rejects_bad_exponential_service () =
+  let cfg = waxman_round_trip () in
+  List.iter
+    (fun mean ->
+      rejects "exponential service mean must be positive and finite"
+        { cfg with Access_sim.service = Access_sim.Exponential mean } ())
+    [ nan; 0.; -2.; infinity ]
+
+let test_rejects_nan_jitter () =
+  let cfg = waxman_round_trip () in
+  rejects "jitter must be non-negative and finite" { cfg with Access_sim.jitter = nan } ()
+
+let test_rejects_negative_jitter () =
+  let cfg = waxman_round_trip () in
+  rejects "jitter must be non-negative and finite" { cfg with Access_sim.jitter = -0.5 } ()
+
+let test_rejects_nan_arrival_rate () =
+  let cfg = waxman_round_trip () in
+  rejects "arrival_rate must be positive" { cfg with Access_sim.arrival_rate = nan } ()
+
+(* Parallel round trip: one event per access arrival plus one per
+   probe, published once per run to [qp_sim_events_total]; the count
+   repeats exactly on a rerun. *)
+let test_events_counter_exact () =
+  let cfg = { (waxman_round_trip ()) with Access_sim.service = Access_sim.Exponential 0.5 } in
+  let events () =
+    let reg = Qp_obs.Metrics.create ~enabled:true () in
+    let r = Qp_obs.Metrics.with_current reg (fun () -> Access_sim.run cfg) in
+    let ev = List.assoc "qp_sim_events_total" (Qp_obs.Metrics.scalar_series reg) in
+    (r, int_of_float ev)
+  in
+  let r, ev = events () in
+  Alcotest.(check int) "events = accesses + probes"
+    (r.Access_sim.n_accesses + Array.fold_left ( + ) 0 r.Access_sim.node_probes)
+    ev;
+  Alcotest.(check int) "repeats" ev (snd (events ()))
+
 let prop_calibration_matches_analytic =
   QCheck.Test.make ~name:"simulated delay tracks analytic (random instances)" ~count:10
     QCheck.small_int (fun seed ->
@@ -289,6 +363,15 @@ let suites =
         Alcotest.test_case "validation" `Quick test_run_validation;
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "conservation invariants" `Quick test_conservation_invariants;
+        Alcotest.test_case "rejects nan fixed service" `Quick test_rejects_nan_fixed_service;
+        Alcotest.test_case "rejects negative fixed service" `Quick
+          test_rejects_negative_fixed_service;
+        Alcotest.test_case "rejects bad exponential service" `Quick
+          test_rejects_bad_exponential_service;
+        Alcotest.test_case "rejects nan jitter" `Quick test_rejects_nan_jitter;
+        Alcotest.test_case "rejects negative jitter" `Quick test_rejects_negative_jitter;
+        Alcotest.test_case "rejects nan arrival rate" `Quick test_rejects_nan_arrival_rate;
+        Alcotest.test_case "events counter exact" `Quick test_events_counter_exact;
       ] );
     ("sim.properties", qcheck_tests);
   ]

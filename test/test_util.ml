@@ -78,8 +78,26 @@ let test_rng_categorical () =
   let frac1 = float_of_int counts.(1) /. 30000. in
   Alcotest.(check bool) "middle weight dominates" true (Float.abs (frac1 -. 0.5) < 0.03);
   Alcotest.check_raises "zero weights"
-    (Invalid_argument "Rng.categorical: weights must have positive sum") (fun () ->
+    (Invalid_argument "Rng.sampler: weights must have positive sum") (fun () ->
       ignore (Rng.categorical rng [| 0.; 0. |]))
+
+let test_rng_sampler_validation () =
+  List.iter
+    (fun (name, w, msg) ->
+      Alcotest.check_raises name (Invalid_argument ("Rng.sampler: " ^ msg)) (fun () ->
+          ignore (Rng.sampler w)))
+    [ ("empty", [||], "empty weights");
+      ("negative", [| 1.; -0.5 |], "weights must be finite and non-negative");
+      ("nan", [| nan; 1. |], "weights must be finite and non-negative");
+      ("infinite", [| 1.; infinity |], "weights must be finite and non-negative");
+      ("zero sum", [| 0.; 0.; 0. |], "weights must have positive sum");
+      ("overflowing sum", [| max_float; max_float |], "weights must have positive sum") ];
+  (* A zero weight is never drawn, whatever its position. *)
+  let rng = Rng.create 3 and s = Rng.sampler [| 0.; 2.; 0.; 0.; 1.; 0. |] in
+  for _ = 1 to 2000 do
+    let i = Rng.draw rng s in
+    Alcotest.(check bool) "positive weight" true (i = 1 || i = 4)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -360,6 +378,7 @@ let suites =
         Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "categorical" `Quick test_rng_categorical;
+        Alcotest.test_case "sampler validation" `Quick test_rng_sampler_validation;
       ] );
     ( "util.stats",
       [
