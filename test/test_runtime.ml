@@ -163,6 +163,28 @@ let test_adaptive_cache_tracks_version () =
   let s2 = Adaptive.refresh c d in
   Alcotest.(check bool) "cached between crossings" true (s1 == s2)
 
+(* The cached sampler is rebuilt with the strategy and only then, and
+   it draws what a sampler of the current strategy draws. *)
+let test_adaptive_sampler_follows_cache () =
+  let problem, placement = triangle_fixture () in
+  let system = problem.Problem.system in
+  let static = problem.Problem.strategy in
+  let d = Detector.create 4 in
+  let c = Adaptive.make system placement ~static in
+  let s0 = Adaptive.sampler c d in
+  Alcotest.(check bool) "cached while healthy" true (Adaptive.sampler c d == s0);
+  for _ = 1 to 5 do
+    Detector.observe d 2 ~ok:false
+  done;
+  let s1 = Adaptive.sampler c d in
+  Alcotest.(check bool) "rebuilt on crossing" true (s1 != s0);
+  Alcotest.(check bool) "cached between crossings" true (Adaptive.sampler c d == s1);
+  let current = Adaptive.refresh c d in
+  let a = Rng.create 5 and b = Rng.create 5 and fresh = Rng.sampler current in
+  for _ = 1 to 200 do
+    Alcotest.(check int) "same draws" (Rng.draw b fresh) (Rng.draw a s1)
+  done
+
 let test_strategy_reweight () =
   let p = [| 0.5; 0.25; 0.25 |] in
   (match Strategy.reweight p (fun i -> if i = 0 then 0. else 1.) with
@@ -487,6 +509,7 @@ let suites =
         Alcotest.test_case "shifts mass off suspects" `Quick test_adaptive_shifts_mass_off_suspected;
         Alcotest.test_case "cache tracks version" `Quick test_adaptive_cache_tracks_version;
         Alcotest.test_case "strategy reweight" `Quick test_strategy_reweight;
+        Alcotest.test_case "sampler follows cache" `Quick test_adaptive_sampler_follows_cache;
       ] );
     ( "runtime.engine",
       [
