@@ -25,12 +25,17 @@ module Obs = Qp_obs
 
 (* One experiment: fresh enabled registry scoped over the run, so the
    recorded series are exactly the experiment's own, no matter which
-   domain executes it or what runs beside it. *)
+   domain executes it or what runs beside it. Its wide event is the
+   span root of the run, so the record breaks its time down by the
+   solver spans it passed through. *)
 let run_one ~buffer name =
   let reg = Obs.Metrics.create ~enabled:true () in
-  let run () = Obs.Metrics.with_current reg (fun () -> Experiments.by_name name) in
   let ev = Obs.Wide.start ~kind:"bench_experiment" () in
   Obs.Wide.set_str ev "experiment" name;
+  let run () =
+    Obs.Metrics.with_current reg (fun () ->
+        Obs.Wide.within ev (fun () -> Experiments.by_name name))
+  in
   let t0 = Obs.Core.now () in
   (try match buffer with Some b -> Qp_par.Io.with_buffer b run | None -> run ()
    with e ->
@@ -142,8 +147,8 @@ let () =
   (match !wide with
   | None -> ()
   | Some path ->
-      Obs.Wide.install (Obs.Trace.to_file path);
-      Obs.Wide.header
+      Obs.Trace.install Obs.Trace.wide (Obs.Trace.to_file path);
+      Obs.Trace.header Obs.Trace.wide
         [ ("tool", Obs.Json.String "bench"); ("jobs", Obs.Json.Int jobs) ]);
   let results =
     if jobs = 1 then List.map (fun n -> run_one ~buffer:None n) names
@@ -163,4 +168,4 @@ let () =
     end
   in
   write_results !out ~jobs results;
-  Obs.Wide.uninstall ()
+  Obs.Trace.uninstall Obs.Trace.wide

@@ -93,24 +93,20 @@ let write_file path contents =
    [quiet] suppresses the human-readable meta line (--format json). *)
 let with_obs ~quiet sinks meta f =
   if not quiet then print_meta meta;
-  (match sinks.trace with
-  | Some path ->
-      Obs.Trace.install (Obs.Trace.to_file path);
-      Obs.Trace.header (meta_fields meta)
-  | None -> ());
-  (match sinks.wide with
-  | Some path ->
-      Obs.Wide.install (Obs.Trace.to_file path);
-      Obs.Wide.header (meta_fields meta)
-  | None -> ());
+  let install slot path =
+    Obs.Trace.install slot (Obs.Trace.to_file path);
+    Obs.Trace.header slot (meta_fields meta)
+  in
+  Option.iter (install Obs.Trace.spans) sinks.trace;
+  Option.iter (install Obs.Trace.wide) sinks.wide;
   if sinks.metrics <> None then Obs.Metrics.set_enabled Obs.Metrics.default true;
   Fun.protect
     ~finally:(fun () ->
       Option.iter
         (fun path -> write_file path (Obs.Metrics.to_prometheus Obs.Metrics.default))
         sinks.metrics;
-      Obs.Wide.uninstall ();
-      Obs.Trace.uninstall ())
+      Obs.Trace.uninstall Obs.Trace.wide;
+      Obs.Trace.uninstall Obs.Trace.spans)
     f
 
 (* Every subcommand body returns [(unit, Qp_error.t) result]; this is
@@ -203,7 +199,8 @@ let solve_cmd (c : common) algorithm alpha pivot_budget instance save format =
   Obs.Wide.set_str ev "alg" algorithm;
   Obs.Wide.set ev "alpha" (Obs.Json.Float alpha);
   let res =
-    let* problem = Obs.Wide.timed ev "build" (fun () -> get_problem ~instance c) in
+    Obs.Wide.within ev @@ fun () ->
+    let* problem = Obs.Span.with_ "build" (fun () -> get_problem ~instance c) in
     let* () =
       match save with
       | Some path ->
@@ -213,7 +210,7 @@ let solve_cmd (c : common) algorithm alpha pivot_budget instance save format =
       | None -> Ok ()
     in
     let* outcome =
-      Obs.Wide.timed ev "solve" (fun () ->
+      Obs.Span.with_ "solve" (fun () ->
           solver.Solver.solve (Qp_serve.Protocol.solver_params c.spec options) problem)
     in
     if json then print_endline (Serialize.outcome_to_string outcome)

@@ -2,12 +2,12 @@
 
    Everything in qp_obs is a no-op unless explicitly enabled, so
    instrumented hot paths pay a single mutable-bool load per
-   operation. Tracing and metrics are gated independently: [tracing]
-   is flipped by [Trace.install]/[Trace.uninstall]; each metrics
-   registry carries its own enabled flag (the shared default registry
-   starts disabled). *)
+   operation. Spans and metrics are gated independently: [enabled] is
+   true while any {!Trace} slot (the span trace or the wide events)
+   has a sink installed; each metrics registry carries its own enabled
+   flag (the shared default registry starts disabled). *)
 
-let tracing = ref false
+let enabled = ref false
 
 (* Wall-clock used for span timestamps and bench timings. OCaml's
    stdlib has no monotonic clock without external packages, so the

@@ -1,8 +1,8 @@
-(** Global switchboard for the telemetry layer: the tracing flag
+(** Global switchboard for the telemetry layer: the telemetry flag
     (owned by {!Trace}) and the pluggable clock. *)
 
-val tracing : bool ref
-(** True while a trace sink is installed. Flipped by
+val enabled : bool ref
+(** True while a sink is installed in any {!Trace} slot. Flipped by
     {!Trace.install}/{!Trace.uninstall}; instrumented code only ever
     reads it. *)
 

@@ -1,85 +1,62 @@
-(* Trace sinks: destinations for span and event records. One sink is
-   installed at a time (the common case is a JSONL file opened by the
-   CLI); installing flips the global tracing flag that every span
-   checks, so an uninstalled tracer costs callers one branch. *)
+(* Telemetry sinks and the slots that hold them. A slot is a
+   destination for one JSONL schema: [spans] carries the span/event
+   stream (qp-trace/1), [wide] the wide events (qp-wide/1). Each holds
+   at most one sink; installing into either flips the global flag every
+   span checks, so with both slots empty instrumented code pays one
+   branch. *)
 
-type sink = {
-  emit : Json.t -> unit;
-  flush : unit -> unit;
-  close : unit -> unit;
-}
+type sink = { emit : Json.t -> unit; close : unit -> unit }
 
-let null = { emit = ignore; flush = ignore; close = ignore }
-
-let to_channel oc =
+let to_file path =
+  let oc = open_out path in
   {
     emit =
       (fun j ->
         output_string oc (Json.to_string j);
         output_char oc '\n');
-    flush = (fun () -> flush oc);
-    close = (fun () -> flush oc);
+    close = (fun () -> close_out oc);
   }
-
-let to_file path =
-  let oc = open_out path in
-  let chan = to_channel oc in
-  { chan with close = (fun () -> close_out oc) }
-
-(* Direct sink operations, for layers (e.g. [Wide]) that reuse the
-   writer machinery without going through the installed-span sink. *)
-let emit_to s j = s.emit j
-let flush_sink s = s.flush ()
-let close_sink s = s.close ()
 
 let memory () =
   let records = ref [] in
-  let sink =
-    { emit = (fun j -> records := j :: !records); flush = ignore; close = ignore }
-  in
+  let sink = { emit = (fun j -> records := j :: !records); close = ignore } in
   (sink, fun () -> List.rev !records)
 
-let current : sink option ref = ref None
+type slot = { schema : string; mutable current : sink option }
 
-(* Serializes id allocation and sink writes: spans may close on
-   parallel-pool worker domains while the main domain is also
-   emitting. *)
+let spans = { schema = "qp-trace/1"; current = None }
+let wide = { schema = "qp-wide/1"; current = None }
+
+(* Serializes installs and sink writes: spans close and wide events
+   finish on pool worker domains and server threads while the main
+   domain may also be emitting, so every record is a whole line. *)
 let lock = Mutex.create ()
 
-(* Monotone record/span id source, reset per installed trace so runs
+(* Monotone span/event id source, reset per installed trace so runs
    produce reproducible ids. *)
-let seq = ref 0
+let seq = Atomic.make 0
 
-let next_id () = Mutex.protect lock (fun () -> incr seq; !seq)
+let next_id () = Atomic.fetch_and_add seq 1 + 1
 
-let install sink =
-  (match !current with Some s -> s.close () | None -> ());
-  current := Some sink;
-  seq := 0;
-  Core.tracing := true
+let set slot sink =
+  Mutex.protect lock (fun () ->
+      Option.iter (fun s -> s.close ()) slot.current;
+      slot.current <- sink;
+      if slot == spans then Atomic.set seq 0;
+      Core.enabled := spans.current <> None || wide.current <> None)
 
-let uninstall () =
-  (match !current with Some s -> s.close () | None -> ());
-  current := None;
-  Core.tracing := false
+let install slot sink = set slot (Some sink)
+let uninstall slot = set slot None
+let active slot = slot.current <> None
 
-let active () = !Core.tracing
+let emit slot j =
+  if active slot then
+    Mutex.protect lock (fun () -> Option.iter (fun s -> s.emit j) slot.current)
 
-let emit j =
-  match !current with
-  | None -> ()
-  | Some s -> Mutex.protect lock (fun () -> s.emit j)
-
-let flush () =
-  match !current with
-  | None -> ()
-  | Some s -> Mutex.protect lock (fun () -> s.flush ())
-
-let header fields =
-  if active () then
-    emit
-      (Json.Obj
-         (("type", Json.String "meta")
-         :: ("schema", Json.String "qp-trace/1")
-         :: ("version", Json.String Build_info.version)
-         :: fields))
+let header slot fields =
+  emit slot
+    (Json.Obj
+       (("type", Json.String "meta")
+       :: ("schema", Json.String slot.schema)
+       :: ("version", Json.String Build_info.version)
+       :: fields))

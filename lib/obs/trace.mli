@@ -1,52 +1,50 @@
-(** Trace sinks — destinations for the JSONL span/event stream.
+(** Telemetry sinks and the slots that hold them.
 
-    One sink is installed at a time; {!install} flips the process-wide
-    tracing flag checked by every {!Span.with_}, so tracing-off costs
-    instrumented code a single branch. Records are one JSON object per
-    line when written through {!to_channel}/{!to_file}. *)
+    A {!slot} is the destination of one JSONL schema: {!spans} carries
+    the span/event stream ([qp-trace/1]), {!wide} the wide events
+    ([qp-wide/1]). Each slot holds at most one sink. Installing into
+    either flips the process-wide flag checked by every
+    {!Span.with_}, so with both slots empty instrumented code pays a
+    single branch. Writes are serialized, so every record is one whole
+    line even when pool workers emit concurrently. *)
 
 type sink
 
-val null : sink
-val to_channel : out_channel -> sink
-(** Writes one record per line; [close] flushes but does not close the
-    channel (the caller owns it). *)
-
 val to_file : string -> sink
-(** Opens [path] for writing; [close] closes it. *)
+(** Opens [path] for writing, one JSON record per line; uninstalling
+    closes it. *)
 
 val memory : unit -> sink * (unit -> Json.t list)
 (** In-memory sink for tests; the thunk returns records in emission
     order. *)
 
-val emit_to : sink -> Json.t -> unit
-(** Write one record directly to [sink], bypassing the installed
-    tracer. Callers are responsible for their own serialization of
-    concurrent writers; {!Wide} wraps this in its own mutex. *)
+type slot
 
-val flush_sink : sink -> unit
-val close_sink : sink -> unit
+val spans : slot
+(** The span/event trace, schema [qp-trace/1]. *)
 
-val install : sink -> unit
-(** Make [sink] current, closing any previous sink, resetting span ids
-    and enabling tracing. *)
+val wide : slot
+(** The wide events, schema [qp-wide/1]. *)
 
-val uninstall : unit -> unit
-(** Close the current sink and disable tracing. Idempotent. *)
+val install : slot -> sink -> unit
+(** Make [sink] the slot's destination, closing any previous one.
+    Installing into {!spans} also resets span ids. *)
 
-val active : unit -> bool
+val uninstall : slot -> unit
+(** Close the slot's sink and empty it. Idempotent. *)
+
+val active : slot -> bool
+
+val emit : slot -> Json.t -> unit
+(** Write one record (no-op when the slot is empty). *)
+
+val header : slot -> (string * Json.t) list -> unit
+(** Emit the run-metadata record
+    [{"type":"meta","schema":...,"version":...,...fields}] with the
+    slot's schema — the first line of every artifact, making runs
+    reproducible from the artifact alone. No-op when the slot is
+    empty. *)
 
 val next_id : unit -> int
-(** Fresh monotone record id (reset by {!install}); used by
-    {!Span}. *)
-
-val emit : Json.t -> unit
-(** Low-level record write (no-op when no sink is installed). *)
-
-val flush : unit -> unit
-
-val header : (string * Json.t) list -> unit
-(** Emit the run-metadata record
-    [{"type":"meta","schema":"qp-trace/1","version":...,...fields}] —
-    the first line of every trace, making runs reproducible from the
-    artifact alone. No-op when tracing is inactive. *)
+(** Fresh monotone record id (reset by installing into {!spans}); used
+    by {!Span}. *)

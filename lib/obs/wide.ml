@@ -4,55 +4,14 @@
    durations, outcome, counters — so a single line answers "where did
    this request spend its time" without joining many narrow spans.
 
-   One sink is installed at a time (a [Trace.sink], typically a JSONL
-   file). Head-based sampling is decided at [start]: every Nth unit is
-   emitted, the rest build no record. A bounded ring buffer keeps the
-   most recent emitted records in memory for the health endpoint and
-   tests. When no sink is installed every entry point is a one-branch
-   no-op, so default-flag runs stay byte-identical. *)
+   A wide event is a span root: run work under it with [within] and
+   every span that closes there adds its duration to the event's
+   phases under its dotted path. Records go to the [Trace.wide] slot;
+   when it is empty every entry point is a one-branch no-op, so
+   default-flag runs stay byte-identical. *)
 
-type state = {
-  sink : Trace.sink;
-  sample_every : int;
-  ring : Json.t option array; (* bounded buffer of recent records *)
-  mutable ring_next : int; (* next write slot *)
-  mutable started : int; (* units seen, drives head sampling *)
-  mutable emitted : int;
-}
-
-let current : state option ref = ref None
-
-(* Serializes sampling decisions, ring writes and sink writes: wide
-   events finish on pool worker domains and server threads while the
-   main domain may also be emitting. *)
-let lock = Mutex.create ()
-
-let active () = !current <> None
-
-let install ?(sample_every = 1) ?(ring_capacity = 256) sink =
-  if sample_every < 1 then invalid_arg "Wide.install: sample_every < 1";
-  if ring_capacity < 1 then invalid_arg "Wide.install: ring_capacity < 1";
-  Mutex.protect lock (fun () ->
-      (match !current with Some s -> Trace.close_sink s.sink | None -> ());
-      current :=
-        Some
-          {
-            sink;
-            sample_every;
-            ring = Array.make ring_capacity None;
-            ring_next = 0;
-            started = 0;
-            emitted = 0;
-          })
-
-let uninstall () =
-  Mutex.protect lock (fun () ->
-      (match !current with Some s -> Trace.close_sink s.sink | None -> ());
-      current := None)
-
-(* An in-flight builder. [Drop] is returned when no sink is installed
-   or head sampling skipped this unit; every mutation on it is a
-   single-branch no-op. *)
+(* An in-flight builder. [Drop] is returned when no sink is installed;
+   every mutation on it is a single-branch no-op. *)
 type t =
   | Drop
   | Ev of {
@@ -60,7 +19,7 @@ type t =
       trace_id : string option;
       parent_span : string option;
       t_start : float;
-      mutable phases : (string * float) list; (* reversed *)
+      root : Span.root;
       mutable attrs : (string * Json.t) list; (* reversed *)
       mutable finished : bool;
     }
@@ -68,38 +27,28 @@ type t =
 (* Fresh ids for units that did not inherit one from the wire. Salted
    with the pid so ids from a client and a server process on one
    machine stay distinct; uniqueness, not secrecy, is the goal. *)
-let id_seq = ref 0
+let id_seq = Atomic.make 0
 
 let fresh_trace_id () =
-  let n = Mutex.protect lock (fun () -> incr id_seq; !id_seq) in
-  Printf.sprintf "%x-%x" (Unix.getpid () land 0xffffff) n
+  Printf.sprintf "%x-%x"
+    (Unix.getpid () land 0xffffff)
+    (Atomic.fetch_and_add id_seq 1 + 1)
 
 let start ~kind ?trace_id ?parent_span () =
-  match !current with
-  | None -> Drop
-  | Some _ ->
-      let sampled =
-        Mutex.protect lock (fun () ->
-            match !current with
-            | None -> false
-            | Some s ->
-                s.started <- s.started + 1;
-                (s.started - 1) mod s.sample_every = 0)
-      in
-      if not sampled then Drop
-      else
-        Ev
-          {
-            kind;
-            trace_id;
-            parent_span;
-            t_start = Core.now ();
-            phases = [];
-            attrs = [];
-            finished = false;
-          }
+  if not (Trace.active Trace.wide) then Drop
+  else
+    Ev
+      {
+        kind;
+        trace_id;
+        parent_span;
+        t_start = Core.now ();
+        root = Span.root ();
+        attrs = [];
+        finished = false;
+      }
 
-let sampled = function Drop -> false | Ev _ -> true
+let within t f = match t with Drop -> f () | Ev e -> Span.with_root e.root f
 
 let set t name v =
   match t with Drop -> () | Ev e -> e.attrs <- (name, v) :: e.attrs
@@ -108,14 +57,7 @@ let set_str t name v = set t name (Json.String v)
 let set_int t name v = set t name (Json.Int v)
 
 let phase t name dur =
-  match t with Drop -> () | Ev e -> e.phases <- (name, dur) :: e.phases
-
-let timed t name f =
-  match t with
-  | Drop -> f ()
-  | Ev _ ->
-      let t0 = Core.now () in
-      Fun.protect ~finally:(fun () -> phase t name (Core.now () -. t0)) f
+  match t with Drop -> () | Ev e -> Span.add_phase e.root name dur
 
 let finish ?(outcome = "ok") t =
   match t with
@@ -143,59 +85,10 @@ let finish ?(outcome = "ok") t =
           | Some p -> [ ("parent_span", Json.String p) ]
         in
         let phases =
-          match e.phases with
+          match Span.phases e.root with
           | [] -> []
           | ps ->
-              [
-                ( "phases",
-                  Json.Obj
-                    (List.rev_map (fun (n, d) -> (n, Json.Float d)) ps) );
-              ]
+              [ ("phases", Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) ps)) ]
         in
-        let attrs = List.rev e.attrs in
-        let record = Json.Obj (base @ trace @ phases @ attrs) in
-        Mutex.protect lock (fun () ->
-            match !current with
-            | None -> ()
-            | Some s ->
-                s.ring.(s.ring_next) <- Some record;
-                s.ring_next <- (s.ring_next + 1) mod Array.length s.ring;
-                s.emitted <- s.emitted + 1;
-                Trace.emit_to s.sink record)
+        Trace.emit Trace.wide (Json.Obj (base @ trace @ phases @ List.rev e.attrs))
       end
-
-let ring () =
-  Mutex.protect lock (fun () ->
-      match !current with
-      | None -> []
-      | Some s ->
-          let n = Array.length s.ring in
-          let out = ref [] in
-          (* Oldest-first: walk forward from the next write slot. *)
-          for i = 0 to n - 1 do
-            match s.ring.((s.ring_next + i) mod n) with
-            | None -> ()
-            | Some r -> out := r :: !out
-          done;
-          List.rev !out)
-
-let emitted () =
-  Mutex.protect lock (fun () ->
-      match !current with None -> 0 | Some s -> s.emitted)
-
-let flush () =
-  Mutex.protect lock (fun () ->
-      match !current with None -> () | Some s -> Trace.flush_sink s.sink)
-
-let header fields =
-  if active () then
-    Mutex.protect lock (fun () ->
-        match !current with
-        | None -> ()
-        | Some s ->
-            Trace.emit_to s.sink
-              (Json.Obj
-                 (("type", Json.String "meta")
-                 :: ("schema", Json.String "qp-wide/1")
-                 :: ("version", Json.String Build_info.version)
-                 :: fields)))

@@ -3,44 +3,28 @@
     A wide event aggregates everything known about one unit (a served
     request, a migration episode, a bench experiment) into a single
     record: trace id, phase durations, outcome, counters. Records are
-    written through an installed {!Trace.sink} as one JSON object per
-    line with ["type":"wide"], preceded by a ["qp-wide/1"] meta header
-    when {!header} is called.
+    written to the {!Trace.wide} slot as one JSON object per line with
+    ["type":"wide"].
 
-    Emission is thread- and domain-safe: a single mutex serializes
-    sampling, the ring buffer and sink writes, so records are always
-    whole-line atomic. When no sink is installed every entry point is
-    a one-branch no-op. *)
+    Each event is a {!Span} root. Work run under {!within} needs no
+    timing code of its own: every span closing there adds its duration
+    to the event's phases under its dotted path from the root
+    (["solve.qpp_solve.candidate.lp_solve.simplex"]), also from pool
+    workers. When the slot is empty every entry point is a one-branch
+    no-op. *)
 
 type t
-(** An in-flight event builder. Builders for unsampled units (or when
-    no sink is installed) are inert: mutations cost one branch. *)
-
-val install : ?sample_every:int -> ?ring_capacity:int -> Trace.sink -> unit
-(** Make [sink] the wide-event destination, closing any previous one.
-    [sample_every] enables head-based sampling: of every [n] units
-    started, the first is emitted and the rest dropped (default [1] =
-    keep everything). [ring_capacity] bounds the in-memory buffer of
-    recent records (default 256). *)
-
-val uninstall : unit -> unit
-(** Close the current sink and disable wide events. Idempotent. *)
-
-val active : unit -> bool
-
-val header : (string * Json.t) list -> unit
-(** Emit the run-metadata record
-    [{"type":"meta","schema":"qp-wide/1","version":...,...fields}].
-    No-op when inactive. *)
+(** An in-flight event builder. Builders made while no sink is
+    installed are inert: mutations cost one branch. *)
 
 val start :
   kind:string -> ?trace_id:string -> ?parent_span:string -> unit -> t
-(** Begin a unit of work of the given [kind]. The sampling decision is
-    made here (head-based); an unsampled unit returns an inert
-    builder. [trace_id]/[parent_span] propagate wire context. *)
+(** Begin a unit of work of the given [kind]. [trace_id]/[parent_span]
+    propagate wire context. *)
 
-val sampled : t -> bool
-(** Whether this builder will emit a record on {!finish}. *)
+val within : t -> (unit -> 'a) -> 'a
+(** [within t f] runs [f] with [t] as the domain-local span root.
+    Inert builders run [f] unchanged. *)
 
 val set : t -> string -> Json.t -> unit
 (** Attach an attribute (last write appears in record order). *)
@@ -49,25 +33,12 @@ val set_str : t -> string -> string -> unit
 val set_int : t -> string -> int -> unit
 
 val phase : t -> string -> float -> unit
-(** Record a named phase duration in seconds. *)
-
-val timed : t -> string -> (unit -> 'a) -> 'a
-(** [timed t name f] runs [f] and records its wall duration as phase
-    [name] (on {!Core.now}, honouring an installed fake clock). Inert
-    builders run [f] without reading the clock. *)
+(** Add a duration in seconds to phase [name], for times taken outside
+    any span (the server's parse/queue/handle timestamps). *)
 
 val finish : ?outcome:string -> t -> unit
 (** Close the unit and emit its record (outcome defaults to ["ok"]).
     Idempotent; inert builders emit nothing. *)
-
-val ring : unit -> Json.t list
-(** The most recent emitted records, oldest first (bounded by
-    [ring_capacity]). *)
-
-val emitted : unit -> int
-(** Total records emitted since {!install}. *)
-
-val flush : unit -> unit
 
 val fresh_trace_id : unit -> string
 (** A process-unique trace id for units that did not inherit one from

@@ -36,7 +36,8 @@ let in_worker () = Domain.DLS.get in_worker_key
    domain-local context, yielding a wrapper that re-installs the
    snapshot around each element on whichever domain executes it (and
    restores the previous value afterwards). Used by [Qp_lp.Simplex] to
-   carry the cooperative-cancellation deadline into worker domains. *)
+   carry the cooperative-cancellation deadline into worker domains, and
+   below for the span context. *)
 let context_hooks : (unit -> (unit -> unit) -> unit) list Atomic.t =
   Atomic.make []
 
@@ -46,6 +47,10 @@ let register_context_hook h =
     if not (Atomic.compare_and_set context_hooks cur (h :: cur)) then add ()
   in
   add ()
+
+(* Spans opened in a task keep the submitter's open span as parent and
+   feed its wide-event root (see [Qp_obs.Span.capture]). *)
+let () = register_context_hook Qp_obs.Span.capture
 
 (* Snapshot all registered contexts now; returns a wrapper composing
    them around a thunk. Identity when no hooks are registered. *)

@@ -70,6 +70,7 @@ let max_ratio_of_loads (p : Problem.qpp) loads =
   !worst
 
 let plan ?(bound = 3.) ?budget (p : Problem.qpp) ~current ~target =
+  Obs.Span.with_ "migrate_plan" @@ fun () ->
   Qp_error.guard @@ fun () ->
   Placement.validate p current;
   Placement.validate p target;
@@ -201,12 +202,10 @@ let plan ?(bound = 3.) ?budget (p : Problem.qpp) ~current ~target =
             drains = !drains;
           }
         in
-        Obs.Span.with_ "migrate_plan"
-          ~attrs:
-            [ ("moves", Obs.Json.Int (List.length plan.moves));
-              ("drains", Obs.Json.Int plan.drains);
-              ("max_ratio", Obs.Json.Float plan.max_ratio) ]
-          (fun () -> Ok plan)
+        Obs.Span.add_attr "moves" (Obs.Json.Int (List.length plan.moves));
+        Obs.Span.add_attr "drains" (Obs.Json.Int plan.drains);
+        Obs.Span.add_attr "max_ratio" (Obs.Json.Float plan.max_ratio);
+        Ok plan
   end
 
 let check (p : Problem.qpp) ~current ~target t =

@@ -20,6 +20,8 @@ let reset t = Hashtbl.reset t.bases
 
 let solve t (p : Problem.qpp) =
   t.solves <- t.solves + 1;
+  Obs.Span.with_ "resolve" ~attrs:[ ("solves", Obs.Json.Int t.solves) ]
+  @@ fun () ->
   let round ~v0 s =
     Rounding.solve_warm ~alpha:t.alpha ?max_pivots:t.max_pivots
       ?warm:(Hashtbl.find_opt t.bases v0)
@@ -38,8 +40,5 @@ let solve t (p : Problem.qpp) =
   | Some cs ->
       List.iter (fun v0 -> Hashtbl.remove t.bases v0) cs;
       List.iter (fun (v0, b) -> Hashtbl.replace t.bases v0 b) bases);
-  Obs.Span.with_ "resolve"
-    ~attrs:
-      [ ("solves", Obs.Json.Int t.solves);
-        ("warm_sources", Obs.Json.Int (Hashtbl.length t.bases)) ]
-    (fun () -> result)
+  Obs.Span.add_attr "warm_sources" (Obs.Json.Int (Hashtbl.length t.bases));
+  result

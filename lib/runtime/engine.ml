@@ -386,9 +386,9 @@ let run cfg =
     let p' = survivors_problem dead in
     let warm = Resolve.warm_sources resolve > 0 in
     let delay_before = Delay.avg_max_delay p' !(st.placement) in
-    (* One wide event per migration episode. Phases (resolve/plan) are
-       wall-clock compute cost; sim_* attributes carry the simulated
-       timeline. *)
+    (* One wide event per migration episode. Its phases are the
+       wall-clock cost of the resolve and migrate_plan spans run under
+       it; sim_* attributes carry the simulated timeline. *)
     let ev = Obs.Wide.start ~kind:"migration" () in
     Obs.Wide.set ev "sim_time" (Obs.Json.Float now);
     Obs.Wide.set ev "dead"
@@ -433,14 +433,14 @@ let run cfg =
        order -> one-shot greedy repair (still yanks replicas off the
        dead nodes); if even that fails, the adaptive strategy keeps
        reweighting around the suspects. *)
-    match Obs.Wide.timed ev "resolve" (fun () -> Resolve.solve resolve p') with
+    match Obs.Wide.within ev (fun () -> Resolve.solve resolve p') with
     | None ->
         greedy_repair sim dead;
         record ~planned:0 ~applied:0 ~retried:0 ~degraded:true sim
     | Some r -> (
         let target = r.Qpp_solver.placement in
         match
-          Obs.Wide.timed ev "plan" (fun () ->
+          Obs.Wide.within ev (fun () ->
               Migrate.plan ~bound:m.bound ?budget:m.budget p'
                 ~current:!(st.placement) ~target)
         with

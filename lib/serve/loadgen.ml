@@ -181,7 +181,7 @@ let worker cfg ~total_weight ~t_end ~idx ~sample ~sample_lock () =
     incr n;
     let ev =
       match trace with
-      | Some tc when Obs.Wide.active () ->
+      | Some tc when Obs.Trace.active Obs.Trace.wide ->
           let ev =
             Obs.Wide.start ~kind:"client_call" ~trace_id:tc.Protocol.trace_id
               ()

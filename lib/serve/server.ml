@@ -266,9 +266,8 @@ let flush_conn conn =
     | Some s ->
         Hashtbl.remove conn.slots conn.next_write;
         conn.next_write <- conn.next_write + 1;
-        let t0 = Obs.Core.now () in
-        write_frame conn s.body;
-        Obs.Wide.phase s.ev "write" (Float.max (Obs.Core.now () -. t0) 0.);
+        Obs.Wide.within s.ev (fun () ->
+            Obs.Span.with_ "write" (fun () -> write_frame conn s.body));
         Obs.Wide.finish ~outcome:s.outcome s.ev
   done
 
@@ -463,10 +462,12 @@ let deliver st (m : member) (payload : (Json.t, Protocol.serve_error) result)
            (int_of_float
               (Obs.Metrics.counter_value
                  (Obs.Metrics.counter r "qp_simplex_pivots_total"))))
-  | None -> if Obs.Wide.sampled ev then Obs.Wide.set_int ev "pivots" 0);
-  let t0 = Obs.Core.now () in
-  let body = Json.to_string (Protocol.response_to_json resp) in
-  Obs.Wide.phase ev "serialize" (Float.max (Obs.Core.now () -. t0) 0.);
+  | None -> Obs.Wide.set_int ev "pivots" 0);
+  let body =
+    Obs.Wide.within ev (fun () ->
+        Obs.Span.with_ "serialize" (fun () ->
+            Json.to_string (Protocol.response_to_json resp)))
+  in
   Hashtbl.replace m.m_conn.slots m.seq { body; ev; outcome };
   flush_conn m.m_conn
 
@@ -479,19 +480,22 @@ let push_completion st c =
     try ignore (Unix.write st.wake_w (Bytes.make 1 '!') 0 1)
     with Unix.Unix_error _ -> ()
 
-(* Submit one solve attempt for a flight: the task runs [run_solve]
-   under a fresh scoped metrics registry (never touching shared
-   registries off-loop) and reports back through the completion
-   queue. With no pool the task runs right here — the sequential
-   path — and the caller drains the completion immediately after. *)
-let submit st (fl : flight) ~deadline =
+(* Submit one solve attempt for a flight on behalf of member [m]: the
+   task runs [run_solve] under [m]'s deadline, under its wide event as
+   span root (so the solver's spans become its phases) and under a
+   fresh scoped metrics registry (never touching shared registries
+   off-loop), and reports back through the completion queue. With no
+   pool the task runs right here — the sequential path — and the
+   caller drains the completion immediately after. *)
+let submit st (fl : flight) (m : member) =
   st.inflight_n <- st.inflight_n + 1;
   let task () =
     let enabled = Obs.Metrics.enabled (reg ()) in
     let sreg = lazy (Obs.Metrics.create ~enabled ()) in
     let payload =
       Obs.Metrics.with_current_lazy sreg (fun () ->
-          run_solve ~deadline fl.solve)
+          Obs.Wide.within m.ev (fun () ->
+              run_solve ~deadline:m.deadline fl.solve))
     in
     push_completion st
       {
@@ -560,7 +564,7 @@ let dispatch_solve st (m : member) =
           count_cache st ~generation "miss";
           let fl = { key; members = [ m ]; gen; solve } in
           Hashtbl.add st.flights key fl;
-          submit st fl ~deadline:m.deadline)
+          submit st fl m)
 
 let dispatch_one st (p : pending) =
   if p.conn.alive then begin
@@ -581,7 +585,7 @@ let dispatch_one st (p : pending) =
        client's trace id when the request carries one, so both sides'
        records join across processes; otherwise it mints its own. *)
     let ev =
-      if Obs.Wide.active () then begin
+      if Obs.Trace.active Obs.Trace.wide then begin
         let trace_id, parent_span =
           match p.req.Protocol.trace with
           | Some t -> (t.Protocol.trace_id, t.Protocol.parent_span)
@@ -652,7 +656,7 @@ let process_completion st { c_key; c_payload; c_reg } =
               fl.members <- rest;
               match rest with
               | [] -> Hashtbl.remove st.flights c_key
-              | next :: _ -> submit st fl ~deadline:next.deadline))
+              | next :: _ -> submit st fl next))
       | _ ->
           Hashtbl.remove st.flights c_key;
           (match c_payload with

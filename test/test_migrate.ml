@@ -87,6 +87,30 @@ let test_infeasible_target () =
   | Error e -> Alcotest.failf "wrong error: %s" (Qp_util.Qp_error.to_string e)
   | Ok _ -> Alcotest.fail "planned into an over-bound target"
 
+(* The migrate_plan span encloses the planner, so a refused plan is
+   traced too. *)
+let test_refusal_traced () =
+  let module Obs = Qp_obs in
+  let g = Qp_graph.Graph.create 3 in
+  Qp_graph.Graph.add_edge g 0 1 1.;
+  Qp_graph.Graph.add_edge g 1 2 1.;
+  let system = Simple_qs.triangle () in
+  let strategy = Strategy.uniform system in
+  let p =
+    Problem.of_graph_qpp ~graph:g ~capacities:[| 10.; 0.1; 10. |] ~system ~strategy ()
+  in
+  let sink, read = Obs.Trace.memory () in
+  Obs.Trace.install Obs.Trace.spans sink;
+  let r =
+    Fun.protect ~finally:(fun () -> Obs.Trace.uninstall Obs.Trace.spans) (fun () ->
+        Migrate.plan ~bound p ~current:[| 0; 0; 2 |] ~target:[| 1; 1; 1 |])
+  in
+  Alcotest.(check bool) "refused" true (Result.is_error r);
+  let names =
+    List.filter_map (fun j -> Option.bind (Obs.Json.member "name" j) Obs.Json.to_str) (read ())
+  in
+  Alcotest.(check (list string)) "one migrate_plan span" [ "migrate_plan" ] names
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: every intermediate placement is safe                        *)
 (* ------------------------------------------------------------------ *)
@@ -161,5 +185,6 @@ let suites =
       [ Alcotest.test_case "identity plan is empty" `Quick test_identity_plan;
         Alcotest.test_case "apply_move" `Quick test_apply_move;
         Alcotest.test_case "intermediates shape" `Quick test_intermediates_shape;
-        Alcotest.test_case "over-bound target refused" `Quick test_infeasible_target ] );
+        Alcotest.test_case "over-bound target refused" `Quick test_infeasible_target;
+        Alcotest.test_case "refusal traced" `Quick test_refusal_traced ] );
     ("migrate.properties", qcheck_tests) ]

@@ -216,7 +216,9 @@ let test_prometheus_text () =
 (* Trace / Span                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let with_fake_clock_and_sink f =
+(* Install a memory sink in [slot] and a clock that steps by 1 s per
+   read. *)
+let with_fake_clock_and_sink ?(slot = Trace.spans) f =
   let sink, read = Trace.memory () in
   let tick = ref 0. in
   Core.set_clock (fun () ->
@@ -224,10 +226,10 @@ let with_fake_clock_and_sink f =
       !tick);
   Fun.protect
     ~finally:(fun () ->
-      Trace.uninstall ();
+      Trace.uninstall slot;
       Core.default_clock ())
     (fun () ->
-      Trace.install sink;
+      Trace.install slot sink;
       f read)
 
 let get_int key record =
@@ -242,7 +244,7 @@ let get_str key record =
 
 let test_span_nesting_and_order () =
   with_fake_clock_and_sink @@ fun read ->
-  Trace.header [ ("seed", Json.Int 42) ];
+  Trace.header Trace.spans [ ("seed", Json.Int 42) ];
   let result =
     Span.with_ "outer" ~attrs:[ ("phase", Json.String "test") ] @@ fun () ->
     Alcotest.(check bool) "current id" true (Span.current_id () <> None);
@@ -290,8 +292,8 @@ let test_span_exception () =
   | records -> Alcotest.failf "expected 1 record, got %d" (List.length records)
 
 let test_tracing_off_noop () =
-  Trace.uninstall ();
-  Alcotest.(check bool) "inactive" false (Trace.active ());
+  Trace.uninstall Trace.spans;
+  Alcotest.(check bool) "inactive" false (Trace.active Trace.spans);
   let ran = ref false in
   let v =
     Span.with_ "ghost" (fun () ->
@@ -307,10 +309,10 @@ let test_tracing_off_noop () =
 let test_jsonl_file_sink () =
   let path = Filename.temp_file "qp_obs_test" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Trace.install (Trace.to_file path);
-  Trace.header [ ("run", Json.String "test") ];
+  Trace.install Trace.spans (Trace.to_file path);
+  Trace.header Trace.spans [ ("run", Json.String "test") ];
   Span.with_ "a" (fun () -> Span.with_ "b" ignore);
-  Trace.uninstall ();
+  Trace.uninstall Trace.spans;
   let ic = open_in path in
   let lines = ref [] in
   (try
@@ -328,24 +330,23 @@ let test_jsonl_file_sink () =
 (* Wide events                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let with_wide ?sample_every ?ring_capacity f =
+let with_wide f =
   let sink, read = Trace.memory () in
   Fun.protect
-    ~finally:(fun () -> Wide.uninstall ())
+    ~finally:(fun () -> Trace.uninstall Trace.wide)
     (fun () ->
-      Wide.install ?sample_every ?ring_capacity sink;
+      Trace.install Trace.wide sink;
       f read)
 
 let test_wide_record_shape () =
   with_wide @@ fun read ->
-  Wide.header [ ("run", Json.String "test") ];
+  Trace.header Trace.wide [ ("run", Json.String "test") ];
   let ev = Wide.start ~kind:"unit" ~trace_id:"t-1" ~parent_span:"s-9" () in
-  Alcotest.(check bool) "sampled" true (Wide.sampled ev);
   Wide.set_str ev "verb" "solve";
   Wide.set_int ev "queue_depth" 3;
   Wide.phase ev "parse" 0.25;
-  let v = Wide.timed ev "work" (fun () -> 21 * 2) in
-  Alcotest.(check int) "timed passes value" 42 v;
+  let v = Wide.within ev (fun () -> Span.with_ "work" (fun () -> 21 * 2)) in
+  Alcotest.(check int) "within passes value" 42 v;
   Wide.finish ~outcome:"overloaded" ev;
   Wide.finish ev;
   (* idempotent: second finish emits nothing *)
@@ -365,44 +366,80 @@ let test_wide_record_shape () =
       let phases = Option.get (Json.member "phases" record) in
       Alcotest.(check bool) "explicit phase" true
         (Option.bind (Json.member "parse" phases) Json.to_float = Some 0.25);
-      Alcotest.(check bool) "timed phase" true
+      Alcotest.(check bool) "span phase" true
         (match Option.bind (Json.member "work" phases) Json.to_float with
         | Some d -> d >= 0.
         | None -> false)
   | records -> Alcotest.failf "expected 2 records, got %d" (List.length records)
 
-let test_wide_sampling_and_ring () =
-  with_wide ~sample_every:3 ~ring_capacity:2 @@ fun read ->
-  for i = 0 to 8 do
-    let ev = Wide.start ~kind:"k" () in
-    Alcotest.(check bool)
-      (Printf.sprintf "head sampling at %d" i)
-      (i mod 3 = 0) (Wide.sampled ev);
-    Wide.set_int ev "i" i;
-    Wide.finish ev
-  done;
-  Alcotest.(check int) "emitted" 3 (Wide.emitted ());
-  Alcotest.(check int) "sink records" 3 (List.length (read ()));
-  match Wide.ring () with
-  | [ a; b ] ->
-      (* bounded ring keeps the most recent records, oldest first *)
-      Alcotest.(check int) "ring oldest" 3 (get_int "i" a);
-      Alcotest.(check int) "ring newest" 6 (get_int "i" b)
-  | l -> Alcotest.failf "expected ring of 2, got %d" (List.length l)
-
 let test_wide_off_noop () =
-  Wide.uninstall ();
-  Alcotest.(check bool) "inactive" false (Wide.active ());
+  (* a sink that was installed and removed again must see nothing *)
+  let sink, read = Trace.memory () in
+  Trace.install Trace.wide sink;
+  Trace.uninstall Trace.wide;
+  Alcotest.(check bool) "inactive" false (Trace.active Trace.wide);
   let ev = Wide.start ~kind:"ghost" () in
-  Alcotest.(check bool) "not sampled" false (Wide.sampled ev);
   Wide.set ev "k" Json.Null;
   Wide.phase ev "p" 1.;
-  let v = Wide.timed ev "t" (fun () -> 7) in
+  let v = Wide.within ev (fun () -> Span.with_ "t" (fun () -> 7)) in
   Wide.finish ev;
-  Wide.header [];
+  Trace.header Trace.wide [];
   Alcotest.(check int) "value through" 7 v;
-  Alcotest.(check int) "nothing emitted" 0 (Wide.emitted ());
-  Alcotest.(check bool) "ring empty" true (Wide.ring () = [])
+  Alcotest.(check int) "nothing emitted" 0 (List.length (read ()))
+
+(* Spans under a root roll up into dotted phases: nested spans by path,
+   repeated spans summed, explicit phases summed too. A wide sink alone
+   is enough, and the phase keys come out sorted. *)
+let test_wide_span_phases () =
+  with_fake_clock_and_sink ~slot:Trace.wide @@ fun read ->
+  let ev = Wide.start ~kind:"unit" () in
+  Wide.phase ev "parse" 0.25;
+  Wide.within ev (fun () ->
+      (* each span reads the clock twice, each read steps it by 1 s *)
+      Span.with_ "a" (fun () ->
+          Span.with_ "b" ignore;
+          Span.with_ "b" (fun () -> Span.with_ "c" ignore));
+      Span.with_ "d" ignore);
+  Wide.phase ev "parse" 0.25;
+  (* outside the root: no phase *)
+  Span.with_ "outside" ignore;
+  Wide.finish ev;
+  match read () with
+  | [ record ] -> (
+      match Json.member "phases" record with
+      | Some (Json.Obj phases) ->
+          let got = List.map (fun (k, v) -> (k, Option.get (Json.to_float v))) phases in
+          Alcotest.(check (list (pair string (float 0.))))
+            "dotted, summed, sorted"
+            [ ("a", 7.); ("a.b", 4.); ("a.b.c", 1.); ("d", 1.); ("parse", 0.5) ]
+            got
+      | _ -> Alcotest.fail "no phases object")
+  | records -> Alcotest.failf "expected 1 record, got %d" (List.length records)
+
+(* With no sink installed a span costs a flag test: it must not even
+   read the clock, and neither may a wide event or its root. *)
+let test_span_no_sink_reads_no_clock () =
+  Trace.uninstall Trace.spans;
+  Trace.uninstall Trace.wide;
+  let reads = ref 0 in
+  Core.set_clock (fun () ->
+      incr reads;
+      float_of_int !reads);
+  Fun.protect ~finally:Core.default_clock @@ fun () ->
+  let ev = Wide.start ~kind:"ghost" () in
+  let v =
+    Wide.within ev (fun () ->
+        Span.with_ "outer" (fun () -> Span.with_ "inner" (fun () -> 5)))
+  in
+  Wide.finish ev;
+  Alcotest.(check int) "value through" 5 v;
+  Alcotest.(check int) "no clock reads" 0 !reads;
+  (* the counter itself works: a traced span reads the clock twice *)
+  let sink, _ = Trace.memory () in
+  Trace.install Trace.spans sink;
+  Fun.protect ~finally:(fun () -> Trace.uninstall Trace.spans) (fun () ->
+      Span.with_ "traced" ignore);
+  Alcotest.(check int) "traced span reads twice" 2 !reads
 
 let test_wide_fresh_trace_ids () =
   let a = Wide.fresh_trace_id () in
@@ -519,9 +556,9 @@ let with_pool_and_file name f =
 let test_trace_sink_atomic_from_pool () =
   with_pool_and_file "qp_obs_pool_trace" @@ fun pool path ->
   let n = 200 in
-  Fun.protect ~finally:(fun () -> Trace.uninstall ()) (fun () ->
-      Trace.install (Trace.to_file path);
-      Trace.header [];
+  Fun.protect ~finally:(fun () -> Trace.uninstall Trace.spans) (fun () ->
+      Trace.install Trace.spans (Trace.to_file path);
+      Trace.header Trace.spans [];
       Pool.parallel_iter pool
         (fun i -> Span.with_ (Printf.sprintf "job-%d" i) ignore)
         (Array.init n Fun.id));
@@ -534,17 +571,17 @@ let test_trace_sink_atomic_from_pool () =
 let test_wide_sink_atomic_from_pool () =
   with_pool_and_file "qp_obs_pool_wide" @@ fun pool path ->
   let n = 200 in
-  Fun.protect ~finally:(fun () -> Wide.uninstall ()) (fun () ->
-      Wide.install (Trace.to_file path);
-      Wide.header [];
+  Fun.protect ~finally:(fun () -> Trace.uninstall Trace.wide) (fun () ->
+      Trace.install Trace.wide (Trace.to_file path);
+      Trace.header Trace.wide [];
       Pool.parallel_iter pool
         (fun i ->
           let ev = Wide.start ~kind:"pool_job" () in
           Wide.set_int ev "i" i;
-          Wide.timed ev "work" (fun () -> ignore (Sys.opaque_identity (i * i)));
+          Wide.within ev (fun () ->
+              Span.with_ "work" (fun () -> ignore (Sys.opaque_identity (i * i))));
           Wide.finish ev)
-        (Array.init n Fun.id);
-      Alcotest.(check int) "emitted" n (Wide.emitted ()));
+        (Array.init n Fun.id));
   let records = read_jsonl path in
   Alcotest.(check int) "all records present" (n + 1) (List.length records);
   let wides = List.filter (fun r -> get_str "type" r = "wide") records in
@@ -583,8 +620,10 @@ let suites =
     ( "obs.wide",
       [
         Alcotest.test_case "record shape" `Quick test_wide_record_shape;
-        Alcotest.test_case "sampling and ring" `Quick test_wide_sampling_and_ring;
         Alcotest.test_case "off no-op" `Quick test_wide_off_noop;
+        Alcotest.test_case "spans roll up into phases" `Quick test_wide_span_phases;
+        Alcotest.test_case "no sink reads no clock" `Quick
+          test_span_no_sink_reads_no_clock;
         Alcotest.test_case "fresh trace ids" `Quick test_wide_fresh_trace_ids;
       ] );
     ( "obs.slo",

@@ -364,6 +364,78 @@ let test_solver_jobs_invariant () =
         b.Qpp_solver.lower_bound
   | _ -> Alcotest.fail "solver unexpectedly infeasible"
 
+(* The pool's span-context hook: candidate spans opened on worker
+   domains keep their parent and land in the same wide phases, so the
+   span tree and the phase keys are the same at pool widths 1 and 3. *)
+let test_span_context_propagates () =
+  let module Obs = Qp_obs in
+  let module Json = Obs.Json in
+  let open Qp_place in
+  let graph = random_connected_graph 7 8 in
+  let system = Qp_quorum.Grid_qs.make 2 in
+  let strategy = Qp_quorum.Strategy.uniform system in
+  let max_load = Array.fold_left Float.max 0. (Qp_quorum.Strategy.loads system strategy) in
+  let problem =
+    Problem.of_graph_qpp ~graph ~capacities:(Array.make 8 (1.2 *. max_load))
+      ~system ~strategy ()
+  in
+  let str k j = Option.bind (Json.member k j) Json.to_str in
+  let traced jobs =
+    let spans_sink, spans = Obs.Trace.memory () in
+    let wide_sink, wide = Obs.Trace.memory () in
+    Pool.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Trace.uninstall Obs.Trace.spans;
+        Obs.Trace.uninstall Obs.Trace.wide;
+        Pool.set_default_jobs 1)
+      (fun () ->
+        Obs.Trace.install Obs.Trace.spans spans_sink;
+        Obs.Trace.install Obs.Trace.wide wide_sink;
+        let ev = Obs.Wide.start ~kind:"solve" () in
+        ignore (Obs.Wide.within ev (fun () -> Qpp_solver.solve ~alpha:2. problem));
+        Obs.Wide.finish ev);
+    let records = spans () in
+    let name_of = Hashtbl.create 64 in
+    List.iter
+      (fun j ->
+        match (Option.bind (Json.member "id" j) Json.to_int, str "name" j) with
+        | Some id, Some n -> Hashtbl.replace name_of id n
+        | _ -> ())
+      records;
+    let edges =
+      List.map
+        (fun j ->
+          let parent =
+            match Json.member "parent" j with
+            | Some (Json.Int p) -> (
+                match Hashtbl.find_opt name_of p with
+                | Some n -> n
+                | None -> Alcotest.failf "dangling parent %d" p)
+            | _ -> "-"
+          in
+          (Option.get (str "name" j), parent))
+        records
+      |> List.sort compare
+    in
+    let keys =
+      match wide () with
+      | [ r ] -> (
+          match Json.member "phases" r with
+          | Some (Json.Obj ps) -> List.map fst ps
+          | _ -> Alcotest.fail "no phases")
+      | l -> Alcotest.failf "expected one wide record, got %d" (List.length l)
+    in
+    (edges, keys)
+  in
+  let edges1, keys1 = traced 1 and edges3, keys3 = traced 3 in
+  Alcotest.(check bool) "candidates traced" true
+    (List.mem ("candidate", "qpp_solve") edges1);
+  Alcotest.(check (list (pair string string))) "same span tree" edges1 edges3;
+  Alcotest.(check bool) "solver phases" true
+    (List.mem "qpp_solve.candidate.lp_solve.simplex" keys1);
+  Alcotest.(check (list string)) "same phase keys" keys1 keys3
+
 let suites =
   [
     ( "par.pool",
@@ -384,6 +456,8 @@ let suites =
         Alcotest.test_case "async after shutdown" `Quick test_async_after_shutdown;
         Alcotest.test_case "deadline context propagates" `Quick
           test_simplex_deadline_context_propagates;
+        Alcotest.test_case "span context propagates" `Quick
+          test_span_context_propagates;
       ] );
     ( "par.telemetry",
       [

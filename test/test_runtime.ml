@@ -450,21 +450,22 @@ let test_engine_slo_trigger_trips () =
     (List.length with_slo.Engine.repairs)
     (List.length again.Engine.repairs)
 
+let migration_config () =
+  let problem, placement = engine_fixture () in
+  let failure = Failure.Dynamic { mtbf = 40.; mttr = 60. } in
+  { (Engine.default_config ~adaptive:true ~repair:Engine.default_trigger
+       ~migration:Engine.default_migration ~problem ~placement ~failure ()) with
+    Engine.accesses_per_client = 300;
+    seed = 2 }
+
 let test_engine_migration_wide_events () =
   let module Wide = Qp_obs.Wide in
   let module Json = Qp_obs.Json in
-  let sink, read = Qp_obs.Trace.memory () in
-  Fun.protect ~finally:(fun () -> Wide.uninstall ()) @@ fun () ->
-  Wide.install sink;
-  let problem, placement = engine_fixture () in
-  let failure = Failure.Dynamic { mtbf = 40.; mttr = 60. } in
-  let cfg =
-    { (Engine.default_config ~adaptive:true ~repair:Engine.default_trigger
-         ~migration:Engine.default_migration ~problem ~placement ~failure ()) with
-      Engine.accesses_per_client = 300;
-      seed = 2 }
-  in
-  let r = Engine.run cfg in
+  let module Trace = Qp_obs.Trace in
+  let sink, read = Trace.memory () in
+  Fun.protect ~finally:(fun () -> Trace.uninstall Trace.wide) @@ fun () ->
+  Trace.install Trace.wide sink;
+  let r = Engine.run (migration_config ()) in
   Alcotest.(check bool) "migrations happened" true (r.Engine.migrations <> []);
   let str k j = Option.bind (Json.member k j) Json.to_str in
   let migs =
@@ -480,14 +481,84 @@ let test_engine_migration_wide_events () =
       | o ->
           Alcotest.failf "unexpected outcome %s"
             (Option.value o ~default:"<none>"));
-      (* every episode times the warm re-solve; the plan phase exists
-         unless the ladder degraded before planning *)
+      (* every episode times the warm re-solve; the migrate_plan phase
+         exists unless the ladder degraded before planning *)
       let phases = Option.get (Json.member "phases" m) in
       Alcotest.(check bool) "resolve phase timed" true
         (Json.member "resolve" phases <> None);
       Alcotest.(check bool) "sim timeline attrs" true
         (Json.member "sim_time" m <> None && Json.member "sim_end" m <> None))
     migs
+
+(* The resolve and migrate_plan spans enclose the work they name: the
+   candidate solves nest under resolve, a plan takes clock time, every
+   parent is in the trace, and each migration's wide resolve phase is
+   exactly its resolve span's duration. *)
+let test_engine_migration_spans () =
+  let module Obs = Qp_obs in
+  let module Json = Obs.Json in
+  let cfg = migration_config () in
+  let spans_sink, spans = Obs.Trace.memory () in
+  let wide_sink, wide = Obs.Trace.memory () in
+  let tick = ref 0. in
+  Obs.Core.set_clock (fun () ->
+      tick := !tick +. 1.;
+      !tick);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.uninstall Obs.Trace.spans;
+      Obs.Trace.uninstall Obs.Trace.wide;
+      Obs.Core.default_clock ())
+  @@ fun () ->
+  Obs.Trace.install Obs.Trace.spans spans_sink;
+  Obs.Trace.install Obs.Trace.wide wide_sink;
+  let r = Engine.run cfg in
+  Alcotest.(check bool) "migrations happened" true (r.Engine.migrations <> []);
+  let str k j = Option.bind (Json.member k j) Json.to_str in
+  let num k j = Option.bind (Json.member k j) Json.to_float in
+  let records = List.filter (fun j -> str "type" j = Some "span") (spans ()) in
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun j ->
+      match Option.bind (Json.member "id" j) Json.to_int with
+      | Some id -> Hashtbl.replace by_id id j
+      | None -> Alcotest.fail "span without id")
+    records;
+  let parent j =
+    match Json.member "parent" j with
+    | Some (Json.Int p) -> (
+        match Hashtbl.find_opt by_id p with
+        | Some pj -> Some pj
+        | None -> Alcotest.failf "dangling parent %d" p)
+    | _ -> None
+  in
+  List.iter (fun j -> ignore (parent j)) records;
+  let named n = List.filter (fun j -> str "name" j = Some n) records in
+  let solves = named "qpp_solve" in
+  Alcotest.(check bool) "solves traced" true (solves <> []);
+  List.iter
+    (fun j ->
+      Alcotest.(check (option string)) "qpp_solve under resolve" (Some "resolve")
+        (Option.bind (parent j) (str "name")))
+    solves;
+  let plans = named "migrate_plan" in
+  Alcotest.(check bool) "plans traced" true (plans <> []);
+  List.iter
+    (fun j ->
+      Alcotest.(check bool) "migrate_plan takes time" true
+        (Option.get (num "dur_s" j) > 0.))
+    plans;
+  let resolves = List.map (num "dur_s") (named "resolve") in
+  let phase_resolves =
+    List.filter_map
+      (fun j ->
+        if str "kind" j = Some "migration" then
+          Some (Option.bind (Json.member "phases" j) (num "resolve"))
+        else None)
+      (wide ())
+  in
+  Alcotest.(check (list (option (float 0.)))) "wide resolve = span dur_s"
+    resolves phase_resolves
 
 let suites =
   [
@@ -524,6 +595,8 @@ let suites =
         Alcotest.test_case "validation" `Quick test_engine_validation;
         Alcotest.test_case "slo validation" `Quick test_engine_slo_validation;
         Alcotest.test_case "slo trigger trips" `Quick test_engine_slo_trigger_trips;
+        Alcotest.test_case "migration spans feed wide phases" `Quick
+          test_engine_migration_spans;
         Alcotest.test_case "migration wide events" `Quick
           test_engine_migration_wide_events;
       ] );

@@ -828,9 +828,9 @@ let test_trace_and_timing_codec () =
 let with_wide_sink f =
   let sink, read = Obs.Trace.memory () in
   Fun.protect
-    ~finally:(fun () -> Obs.Wide.uninstall ())
+    ~finally:(fun () -> Obs.Trace.uninstall Obs.Trace.wide)
     (fun () ->
-      Obs.Wide.install sink;
+      Obs.Trace.install Obs.Trace.wide sink;
       f read)
 
 let test_trace_propagation_end_to_end () =
