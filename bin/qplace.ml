@@ -132,16 +132,34 @@ let run ?(quiet = false) ?pin_jobs ?alpha ?algorithm ~command (c : common)
   with_obs ~quiet c.sinks { command; spec = c.spec; jobs; alpha; algorithm }
     (fun () -> f x)
 
+(* One offline solve as a "solve" wide event, whose body [f] runs
+   under it: a "build" span for the instance, a "solve" span for the
+   solver. *)
+let solve_event ~algorithm ~alpha f =
+  let ev = Obs.Wide.start ~kind:"solve" () in
+  Obs.Wide.set_str ev "alg" algorithm;
+  Obs.Wide.set ev "alpha" (Obs.Json.Float alpha);
+  let res = Obs.Wide.within ev f in
+  (match res with
+  | Ok _ -> Obs.Wide.finish ~outcome:"ok" ev
+  | Error e -> Obs.Wide.finish ~outcome:(Serialize.error_code e) ev);
+  res
+
 (* simulate, faults, resilience and churn all study the Theorem 1.2
    placement of the generated instance: the lp solver at alpha = 2
-   (the default options). *)
+   (the default options), solved the way [qplace solve] solves. *)
 let run_lp ~command (c : common) checked f =
   run ~command ~alpha:2. ~algorithm:"lp" c checked @@ fun x ->
-  let* problem = Spec.build c.spec in
-  let* outcome =
-    (Solver.find_exn "lp").Solver.solve
-      (Qp_serve.Protocol.solver_params c.spec Qp_serve.Protocol.default_options)
-      problem
+  let* problem, outcome =
+    solve_event ~algorithm:"lp" ~alpha:2. @@ fun () ->
+    let* problem = Obs.Span.with_ "build" (fun () -> Spec.build c.spec) in
+    let* outcome =
+      Obs.Span.with_ "solve" (fun () ->
+          (Solver.find_exn "lp").Solver.solve
+            (Qp_serve.Protocol.solver_params c.spec Qp_serve.Protocol.default_options)
+            problem)
+    in
+    Ok (problem, outcome)
   in
   f x problem outcome.Outcome.placement
 
@@ -195,35 +213,26 @@ let solve_cmd (c : common) algorithm alpha pivot_budget instance save format =
      in
      Ok (solver, options))
   @@ fun (solver, options) ->
-  let ev = Obs.Wide.start ~kind:"solve" () in
-  Obs.Wide.set_str ev "alg" algorithm;
-  Obs.Wide.set ev "alpha" (Obs.Json.Float alpha);
-  let res =
-    Obs.Wide.within ev @@ fun () ->
-    let* problem = Obs.Span.with_ "build" (fun () -> get_problem ~instance c) in
-    let* () =
-      match save with
-      | Some path ->
-          let* () = Serialize.save_problem path problem in
-          if not json then Printf.printf "instance saved to %s\n" path;
-          Ok ()
-      | None -> Ok ()
-    in
-    let* outcome =
-      Obs.Span.with_ "solve" (fun () ->
-          solver.Solver.solve (Qp_serve.Protocol.solver_params c.spec options) problem)
-    in
-    if json then print_endline (Serialize.outcome_to_string outcome)
-    else begin
-      List.iter print_endline (solver.Solver.headline outcome);
-      describe_placement problem solver.Solver.label outcome.Outcome.placement
-    end;
-    Ok ()
+  solve_event ~algorithm ~alpha @@ fun () ->
+  let* problem = Obs.Span.with_ "build" (fun () -> get_problem ~instance c) in
+  let* () =
+    match save with
+    | Some path ->
+        let* () = Serialize.save_problem path problem in
+        if not json then Printf.printf "instance saved to %s\n" path;
+        Ok ()
+    | None -> Ok ()
   in
-  (match res with
-  | Ok () -> Obs.Wide.finish ~outcome:"ok" ev
-  | Error e -> Obs.Wide.finish ~outcome:(Serialize.error_code e) ev);
-  res
+  let* outcome =
+    Obs.Span.with_ "solve" (fun () ->
+        solver.Solver.solve (Qp_serve.Protocol.solver_params c.spec options) problem)
+  in
+  if json then print_endline (Serialize.outcome_to_string outcome)
+  else begin
+    List.iter print_endline (solver.Solver.headline outcome);
+    describe_placement problem solver.Solver.label outcome.Outcome.placement
+  end;
+  Ok ()
 
 let simulate_cmd (c : common) protocol accesses =
   run_lp ~command:"simulate" c

@@ -30,6 +30,10 @@ let add_objective t v c =
 
 let objective t = Array.copy t.obj
 
+let with_objective t obj =
+  if Array.length obj <> t.n then invalid_arg "Lp.with_objective: length mismatch";
+  { t with obj = Array.copy obj }
+
 let merge_terms terms =
   let tbl = Hashtbl.create (List.length terms) in
   List.iter

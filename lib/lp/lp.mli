@@ -29,6 +29,13 @@ val add_objective : t -> int -> float -> unit
 
 val objective : t -> float array
 
+val with_objective : t -> float array -> t
+(** [with_objective lp c] is a model with the rows of [lp] and the
+    objective [c] (copied). The rows are shared, not copied: building
+    them once and solving under many objectives costs one row list.
+    Adding a row to either model leaves the other unchanged.
+    @raise Invalid_argument unless [c] has one entry per variable. *)
+
 val add_constraint : t -> (int * float) list -> cmp -> float -> unit
 (** [add_constraint lp terms cmp rhs] appends a row
     [sum_i c_i x_i cmp rhs]. Duplicate variable mentions are summed.

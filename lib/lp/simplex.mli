@@ -4,7 +4,8 @@
     speed with a switch to Bland's rule after a stall to rule out
     cycling, and a phase-1 artificial-variable start. The constraint
     matrix is kept as sparse columns and only the m x m basis inverse
-    is updated per pivot, so no m x ncols tableau is ever built
+    is updated per pivot, so no m x ncols tableau is ever built; FTRAN
+    walks only the listed nonzero rows of its columns
     (DESIGN.md §15, "Scaling the solve core"). *)
 
 type outcome =
@@ -18,7 +19,12 @@ val solve : ?max_pivots:int -> Lp.t -> outcome
     [Qp_util.Qp_error.Error (Internal _)] (caught at the solver-engine
     boundary; front ends expose it as a [--pivot-budget] knob). On
     [Optimal], the returned point satisfies every row to within [1e-6]
-    relative tolerance — asserted internally. *)
+    relative tolerance: an optimal basis whose point does not (drift of
+    the never-refactorized basis inverse) raises the same typed
+    [Internal] error and counts in
+    [qp_simplex_numeric_failures_total]. LPs of more than 65536 rows
+    are refused the same way (the dense basis inverse alone would take
+    34 GB). *)
 
 type basis
 (** Opaque snapshot of the final simplex basis of an optimal solve:

@@ -106,6 +106,13 @@ let register t ~name ~labels ~help ~make ~check =
       t.rev_keys <- k :: t.rev_keys;
       check s
 
+let remove ?(labels = []) t name =
+  let k = key name (canonical_labels labels) in
+  if Hashtbl.mem t.tbl k then begin
+    Hashtbl.remove t.tbl k;
+    t.rev_keys <- List.filter (fun k' -> k' <> k) t.rev_keys
+  end
+
 let counter ?(help = "") ?(labels = []) t name =
   register t ~name ~labels ~help
     ~make:(fun () -> Counter (ref 0.))

@@ -47,6 +47,12 @@ val counter : ?help:string -> ?labels:(string * string) list -> t -> string -> c
     @raise Invalid_argument on an invalid metric name
     ([[a-zA-Z_:][a-zA-Z0-9_:]*]) or a kind clash. *)
 
+val remove : ?labels:(string * string) list -> t -> string -> unit
+(** Drop the series (name, labels) from the registry, if it is there,
+    so a label that names an epoch (a live-instance generation, say)
+    does not grow the registry without bound. A handle obtained before
+    still updates its cell, which no exporter reads any more. *)
+
 val gauge : ?help:string -> ?labels:(string * string) list -> t -> string -> gauge
 
 val histogram :

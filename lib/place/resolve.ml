@@ -22,13 +22,9 @@ let solve t (p : Problem.qpp) =
   t.solves <- t.solves + 1;
   Obs.Span.with_ "resolve" ~attrs:[ ("solves", Obs.Json.Int t.solves) ]
   @@ fun () ->
-  let round ~v0 s =
-    Rounding.solve_warm ~alpha:t.alpha ?max_pivots:t.max_pivots
-      ?warm:(Hashtbl.find_opt t.bases v0)
-      s
-  in
   let result, bases =
-    Qpp_solver.solve_with ~alpha:t.alpha ?candidates:t.candidates ~round p
+    Qpp_solver.solve_warm ~alpha:t.alpha ?max_pivots:t.max_pivots
+      ?candidates:t.candidates ~warm:(Hashtbl.find_opt t.bases) p
   in
   (* The pool merged worker results in candidate order; commit the new
      bases sequentially so the store stays single-writer. A candidate

@@ -58,10 +58,10 @@ let round_filtered (s : Problem.ssqpp) (flt : Filtering.filtered) =
   Obs.Span.add_attr "load_violation" (Obs.Json.Float result.load_violation);
   result
 
-let solve_warm ?(alpha = 2.) ?max_pivots ?warm (s : Problem.ssqpp) =
+let solve_warm ?(alpha = 2.) ?max_pivots ?warm ?blocks (s : Problem.ssqpp) =
   if not (alpha > 1. && Float.is_finite alpha) then
     invalid_arg "Rounding.solve: finite alpha > 1 required";
-  match Lp_formulation.solve_warm ?max_pivots ?warm s with
+  match Lp_formulation.solve_warm ?max_pivots ?warm ?blocks s with
   | None, _ -> None
   | Some sol, basis -> Some (round_filtered s (Filtering.apply ~alpha sol), basis)
 

@@ -29,12 +29,14 @@ val solve_warm :
   ?alpha:float ->
   ?max_pivots:int ->
   ?warm:Qp_lp.Simplex.basis ->
+  ?blocks:Lp_formulation.blocks ->
   Problem.ssqpp ->
   (result * Qp_lp.Simplex.basis option) option
 (** Like {!solve}, threading a simplex basis through the LP stage
     ({!Lp_formulation.solve_warm}) so a re-solve after a small instance
-    delta can crash-start from the previous optimum. The rounding
-    stage is unchanged; only pivot counts differ from {!solve}. *)
+    delta can crash-start from the previous optimum, and taking the
+    LP's rows from [blocks] when given. The rounding stage is
+    unchanged; only pivot counts differ from {!solve}. *)
 
 val round_filtered : Problem.ssqpp -> Filtering.filtered -> result
 (** The rounding stage alone, for tests that want to inject a

@@ -84,9 +84,9 @@ let solve ~alg ~params problem =
   let* solver = Solver.find alg in
   solver.Solver.solve params problem
 
-let simulate (spec : Scenario.t) problem placement offered =
+let simulate (spec : Scenario.t) problem placement ~analytic offered =
   let report =
-    Access_sim.run
+    Access_sim.run ~analytic
       {
         problem;
         placement;
@@ -185,9 +185,10 @@ let run ?(pool = Qp_par.Pool.default ()) (spec : Scenario.t) =
     delay_of_protocol spec.protocol read_view
       sym_outcome.Qp_place.Outcome.placement
   in
+  let placement = outcome.Qp_place.Outcome.placement in
+  let analytic = delay_of_protocol spec.protocol problem placement in
   let cells =
-    Qp_par.Pool.parallel_map pool
-      (simulate spec problem outcome.Qp_place.Outcome.placement)
+    Qp_par.Pool.parallel_map pool (simulate spec problem placement ~analytic)
       spec.offered_loads
   in
   let curve = Array.map fst cells in

@@ -181,6 +181,18 @@ let cache_c ~generation result =
     ~labels:[ ("result", result); ("generation", generation) ]
     (reg ()) "qp_serve_solve_cache_total"
 
+(* An applied update strands the old generation's cache entries, and
+   with them its lookup series: drop those, so the label set stays
+   bounded by the current generation and "spec" however many updates
+   the server applies. *)
+let drop_cache_series ~generation =
+  List.iter
+    (fun result ->
+      Obs.Metrics.remove (reg ())
+        ~labels:[ ("result", result); ("generation", generation) ]
+        "qp_serve_solve_cache_total")
+    [ "hit"; "miss"; "inflight" ]
+
 let cache_evictions_c () =
   Obs.Metrics.counter ~help:"Placement cache entries evicted by capacity"
     (reg ()) "qp_serve_solve_cache_evictions_total"
@@ -383,6 +395,7 @@ let update_payload st (req : Protocol.request) =
                (Qp_error.Invalid_instance
                   "update: missing or empty \"delta\" array"))
       | Some ops -> (
+          let stale = string_of_int (Live.generation live) in
           match Live.apply live ops with
           | Ok () ->
               (* No cache clear: live-route entries are keyed by the
@@ -390,6 +403,7 @@ let update_payload st (req : Protocol.request) =
                  makes them unreachable; full-spec entries pin their
                  own instance and stay valid. Stale entries age out of
                  the LRU under capacity pressure. *)
+              drop_cache_series ~generation:stale;
               Obs.Metrics.inc (updates_c ());
               Ok
                 (Json.Obj

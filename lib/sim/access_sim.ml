@@ -182,7 +182,7 @@ let validate cfg =
       if not (Float.is_finite mean && mean > 0.) then
         bad "exponential service mean must be positive and finite"
 
-let run cfg =
+let run ?analytic cfg =
   validate cfg;
   let n = Problem.n_nodes cfg.problem in
   let rates = client_rates cfg.problem in
@@ -244,9 +244,10 @@ let run cfg =
   (* Quorums are non-empty, so every access records exactly once. *)
   let delays = st.delays in
   let analytic =
-    match cfg.protocol with
-    | Parallel -> Delay.avg_max_delay cfg.problem cfg.placement
-    | Sequential -> Delay.avg_total_delay cfg.problem cfg.placement
+    match (analytic, cfg.protocol) with
+    | Some a, _ -> a
+    | None, Parallel -> Delay.avg_max_delay cfg.problem cfg.placement
+    | None, Sequential -> Delay.avg_total_delay cfg.problem cfg.placement
   in
   let mean = if Array.length delays = 0 then 0. else Stats.mean delays in
   let cnt = Obs.Metrics.counter ~help:"Simulated accesses" (Obs.Metrics.current ())

@@ -59,10 +59,13 @@ type report = {
          makespan is the simulated throughput of the run *)
 }
 
-val run : config -> report
+val run : ?analytic:float -> config -> report
 (** Runs the simulation. The quorum sampler is built once per run, and
     the number of discrete events processed is added to the
-    [qp_sim_events_total] counter of the current registry.
+    [qp_sim_events_total] counter of the current registry. [analytic]
+    is the placement's analytic delay ([Avg Delta_f] or [Avg Gamma_f]
+    per protocol) when the caller has it already, as a sweep over
+    offered loads does; by default it is computed here.
     @raise Invalid_argument before any event is scheduled unless the
     placement is valid, [accesses_per_client > 0], [arrival_rate] is
     positive (not NaN), [jitter] is non-negative and finite, a [Fixed]

@@ -82,6 +82,18 @@ let test_counter_gauge () =
     (Invalid_argument "Metrics: invalid metric name \"0bad name\"") (fun () ->
       ignore (Metrics.counter r "0bad name"))
 
+let test_remove_series () =
+  let r = Metrics.create () in
+  let c epoch = Metrics.counter ~labels:[ ("epoch", epoch) ] r "qp_test_total" in
+  Metrics.inc (c "1");
+  Metrics.inc (c "2");
+  Metrics.remove ~labels:[ ("epoch", "1") ] r "qp_test_total";
+  Metrics.remove ~labels:[ ("epoch", "9") ] r "qp_test_total";
+  Alcotest.(check (list string)) "only epoch 2 is left" [ {|qp_test_total{epoch=2;}|} ]
+    (List.map fst (Metrics.scalar_series r));
+  Alcotest.(check (float 0.)) "a removed series starts afresh" 0.
+    (Metrics.counter_value (c "1"))
+
 let test_bucket_boundaries () =
   let r = Metrics.create () in
   let h =
@@ -590,6 +602,35 @@ let test_wide_sink_atomic_from_pool () =
   let seen = List.sort compare (List.map (get_int "i") wides) in
   Alcotest.(check bool) "every index once" true (seen = List.init n Fun.id)
 
+(* `qplace churn --trace` (a dune rule writes churn_trace.jsonl beside
+   the test runner): the lp solve of the run_lp prelude shared by
+   simulate, faults, resilience and churn runs under a "solve" span, as
+   `qplace solve` does, so no qpp_solve span is a root of the trace. *)
+let test_churn_trace_solve_has_parent () =
+  let path =
+    List.find Sys.file_exists
+      [ "churn_trace.jsonl"; "_build/default/test/churn_trace.jsonl" ]
+  in
+  let records =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map Json.of_string
+  in
+  let named name j =
+    Json.member "type" j = Some (Json.String "span")
+    && Json.member "name" j = Some (Json.String name)
+  in
+  let solves = List.filter (named "qpp_solve") records in
+  Alcotest.(check bool) "the trace has qpp_solve spans" true (solves <> []);
+  List.iter
+    (fun j ->
+      Alcotest.(check bool) "qpp_solve has a parent" true
+        (Json.member "parent" j <> Some Json.Null))
+    solves;
+  Alcotest.(check bool) "the prelude solve is under a solve span" true
+    (List.exists (named "solve") records)
+
 let suites =
   [
     ( "obs.json",
@@ -602,6 +643,7 @@ let suites =
     ( "obs.metrics",
       [
         Alcotest.test_case "counter/gauge" `Quick test_counter_gauge;
+        Alcotest.test_case "remove series" `Quick test_remove_series;
         Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
         Alcotest.test_case "quantile brackets percentile" `Quick
           test_quantile_brackets_percentile;
@@ -616,6 +658,8 @@ let suites =
         Alcotest.test_case "span exception" `Quick test_span_exception;
         Alcotest.test_case "tracing off no-op" `Quick test_tracing_off_noop;
         Alcotest.test_case "jsonl file sink" `Quick test_jsonl_file_sink;
+        Alcotest.test_case "churn trace: solve has a parent" `Quick
+          test_churn_trace_solve_has_parent;
       ] );
     ( "obs.wide",
       [

@@ -193,6 +193,13 @@ let test_partial_spec_defaults () =
 (* In-process server harness                                           *)
 (* ------------------------------------------------------------------ *)
 
+let string_contains hay sub =
+  let n = String.length sub in
+  let rec find i =
+    i + n <= String.length hay && (String.sub hay i n = sub || find (i + 1))
+  in
+  find 0
+
 let with_server ?(tweak = fun c -> c) f =
   let port = Atomic.make 0 in
   let cfg =
@@ -435,6 +442,13 @@ let test_update_verb () =
   (* repeat solve is served from the refreshed cache: same bytes *)
   let again = call_ok "solve cached" c (Protocol.request Protocol.Solve) in
   checks "cached solve identical" (Json.to_string after) (Json.to_string again);
+  (* the stranded generation's lookup series are dropped with it; the
+     current generation's are exported *)
+  let body =
+    member_string "metrics" (call_ok "metrics" c (Protocol.request Protocol.Metrics)) "body"
+  in
+  checkb "generation 0 series dropped" false (string_contains body {|generation="0"|});
+  checkb "generation 1 series exported" true (string_contains body {|generation="1"|});
   (* rejected deltas leave the generation alone *)
   let reject what delta =
     let e = call_err what c (Protocol.request ?delta Protocol.Update) in
@@ -976,13 +990,6 @@ let cache_counters port =
         | Some n -> n
         | None -> Alcotest.failf "solve_cache missing %s" k)
   | None -> Alcotest.fail "health must report the solve cache"
-
-let string_contains hay sub =
-  let n = String.length sub in
-  let rec find i =
-    i + n <= String.length hay && (String.sub hay i n = sub || find (i + 1))
-  in
-  find 0
 
 let test_cache_hit_serves_identical_bytes () =
   with_server @@ fun port ->
