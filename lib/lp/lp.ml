@@ -7,11 +7,12 @@ type t = {
   obj : float array;
   mutable rows : constr list; (* reverse insertion order *)
   mutable n_rows : int;
+  mutable start : int array option;
 }
 
 let create n =
   if n < 0 then invalid_arg "Lp.create: negative variable count";
-  { n; obj = Array.make n 0.; rows = []; n_rows = 0 }
+  { n; obj = Array.make n 0.; rows = []; n_rows = 0; start = None }
 
 let n_vars t = t.n
 
@@ -33,6 +34,12 @@ let objective t = Array.copy t.obj
 let with_objective t obj =
   if Array.length obj <> t.n then invalid_arg "Lp.with_objective: length mismatch";
   { t with obj = Array.copy obj }
+
+let set_start t cols =
+  Array.iter (fun v -> check_var t v "set_start") cols;
+  t.start <- Some (Array.copy cols)
+
+let start t = t.start
 
 let merge_terms terms =
   let tbl = Hashtbl.create (List.length terms) in

@@ -33,13 +33,25 @@ val with_objective : t -> float array -> t
 (** [with_objective lp c] is a model with the rows of [lp] and the
     objective [c] (copied). The rows are shared, not copied: building
     them once and solving under many objectives costs one row list.
-    Adding a row to either model leaves the other unchanged.
+    Adding a row to either model leaves the other unchanged. The
+    {!start} is kept.
     @raise Invalid_argument unless [c] has one entry per variable. *)
 
 val add_constraint : t -> (int * float) list -> cmp -> float -> unit
 (** [add_constraint lp terms cmp rhs] appends a row
     [sum_i c_i x_i cmp rhs]. Duplicate variable mentions are summed.
     @raise Invalid_argument on out-of-range variables. *)
+
+val set_start : t -> int array -> unit
+(** [set_start lp cols] records a start: variables whose columns form
+    a basis at a primal-feasible point, e.g. one built from a feasible
+    integral assignment. {!Simplex.solve} crash-starts from it and
+    skips phase 1 when the crash is primal-feasible; it checks that, so
+    a wrong start costs a rebuild, never a wrong answer.
+    @raise Invalid_argument on out-of-range variables. *)
+
+val start : t -> int array option
+(** The start recorded by {!set_start}; [None] on a fresh model. *)
 
 val constraints : t -> constr list
 (** Rows in insertion order. *)

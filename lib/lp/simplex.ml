@@ -32,6 +32,17 @@
    numeric failure: a typed [Internal] error, counted in
    [qp_simplex_numeric_failures_total].
 
+   Starts. B⁻¹ begins as the identity over the slack and artificial
+   columns. Before phase 1 the solver tries crash starts in order: the
+   caller's warm basis, then the model's own start ([Lp.start]; every
+   SSQPP LP carries one built from a first-fit assignment, DESIGN.md
+   §15). [try_crash] pivots each start column into the unclaimed row
+   where |B⁻¹A_c| is largest; if the basis it reaches is primal-feasible
+   with no artificial carrying weight, phase 1 is skipped and phase 2
+   starts there. A refused start leaves a mutated state, which is
+   rebuilt before the next try; when no start is taken, phase 1 runs
+   from the identity basis.
+
    Pricing is Dantzig with a permanent switch to Bland's rule after a
    stall of degenerate pivots, which guarantees termination; the ratio
    test breaks ties on the smaller basic column index. *)
@@ -574,24 +585,46 @@ let solve_internal ?max_pivots ?warm lp =
     match max_pivots with Some v -> v | None -> 50_000 + (50 * (m + n))
   in
   let st0, row_dual, n_artificial = build lp ~scratch in
-  let st, warm_used =
-    match warm with
-    | Some wb when Array.length wb > 0 -> (
-        Obs.Metrics.inc warm_attempts_c;
-        match try_crash st0 wb with
-        | Some crash_pivots ->
-            Obs.Metrics.inc warm_used_c;
-            count crash_pivots;
-            (st0, true)
-        | None ->
-            (* The failed crash left binv/xb/basis mutated; rebuild. *)
-            let st1, _, _ = build lp ~scratch in
-            (st1, false))
-    | _ -> (st0, false)
+  let count_start outcome =
+    Obs.Metrics.inc
+      (Obs.Metrics.counter
+         ~help:"LP starts by outcome: taken, refused, or no_first_fit (none built)"
+         ~labels:[ ("outcome", outcome) ] reg "qp_simplex_start_total")
   in
-  (* Phase 1: minimize the sum of artificials. Skipped when the crash
-     basis already reached a primal-feasible start. *)
-  (if n_artificial > 0 && not warm_used then begin
+  (* Crash starts, tried in order: the caller's warm basis, then the
+     model's start. Each reports whether it was taken. A failed crash
+     leaves binv/xb/basis mutated, so the next try (or phase 1) runs on
+     a rebuilt state. *)
+  let starts =
+    (match warm with
+     | Some wb when Array.length wb > 0 ->
+         [ (wb, fun taken ->
+               Obs.Metrics.inc warm_attempts_c;
+               if taken then Obs.Metrics.inc warm_used_c) ]
+     | _ -> [])
+    @
+    match Lp.start lp with
+    | Some cols ->
+        [ (cols, fun taken -> count_start (if taken then "taken" else "refused")) ]
+    | None -> []
+  in
+  let rec crash st = function
+    | [] -> (st, false)
+    | (cols, report) :: rest -> (
+        match try_crash st cols with
+        | Some crash_pivots ->
+            report true;
+            count crash_pivots;
+            (st, true)
+        | None ->
+            report false;
+            let st1, _, _ = build lp ~scratch in
+            crash st1 rest)
+  in
+  let st, started = crash st0 starts in
+  (* Phase 1: minimize the sum of artificials. Skipped when a crash
+     start is primal-feasible. *)
+  (if n_artificial > 0 && not started then begin
      let cost1 = scratch.s_cost in
      Array.fill cost1 0 st.first_artificial 0.;
      Array.fill cost1 st.first_artificial n_artificial 1.;
@@ -606,7 +639,7 @@ let solve_internal ?max_pivots ?warm lp =
     done;
     !v
   in
-  if n_artificial > 0 && (not warm_used) && phase1_value > 1e-7 then
+  if n_artificial > 0 && (not started) && phase1_value > 1e-7 then
     finish C_infeasible None
   else begin
     (* Drive residual zero-level artificials out of the basis where

@@ -2,7 +2,9 @@
 
     Exact enough for the paper's placement LPs: Dantzig pricing for
     speed with a switch to Bland's rule after a stall to rule out
-    cycling, and a phase-1 artificial-variable start. The constraint
+    cycling, and a phase-1 artificial-variable start unless a crash
+    start (a warm basis, or the model's {!Lp.start}) is
+    primal-feasible. The constraint
     matrix is kept as sparse columns and only the m x m basis inverse
     is updated per pivot, so no m x ncols tableau is ever built; FTRAN
     walks only the listed nonzero rows of its columns
@@ -14,7 +16,13 @@ type outcome =
   | Unbounded
 
 val solve : ?max_pivots:int -> Lp.t -> outcome
-(** Solves [minimize c.x  s.t. rows, x >= 0]. [max_pivots] defaults to
+(** Solves [minimize c.x  s.t. rows, x >= 0]. When the model carries
+    a start ({!Lp.set_start}), its columns are crashed into the basis
+    first; if that basis is primal-feasible, phase 1 is skipped and
+    phase 2 starts there. Otherwise the state is rebuilt and phase 1
+    runs. Each try counts in
+    [qp_simplex_start_total{outcome="taken"|"refused"}]; crash pivots
+    count into [qp_simplex_pivots_total]. [max_pivots] defaults to
     [50_000 + 50 * (rows + vars)]; exceeding it raises
     [Qp_util.Qp_error.Error (Internal _)] (caught at the solver-engine
     boundary; front ends expose it as a [--pivot-budget] knob). On
@@ -40,10 +48,11 @@ val solve_warm :
     primal-feasible, phase 1 is skipped entirely and small deltas
     re-solve in far fewer pivots. If the crash start is infeasible —
     the delta moved the optimum across a facet, or the LP shapes do not
-    match — the basis is rebuilt and the ordinary cold two-phase path
-    runs, so the outcome (objective, feasibility classification) is
-    always identical to {!solve} up to the usual pivot-order float
-    noise. Warm attempts and successes are counted in the
+    match — the basis is rebuilt and the solve runs exactly as
+    {!solve} does (the model's start, else phase 1), so the outcome
+    (objective, feasibility classification) is always identical to
+    {!solve} up to the usual pivot-order float noise. Warm attempts and
+    successes are counted in the
     [qp_simplex_warm_attempts_total] / [qp_simplex_warm_used_total]
     metrics; crash pivots count into [qp_simplex_pivots_total]. *)
 

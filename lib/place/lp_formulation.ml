@@ -27,8 +27,41 @@ let ordering (s : Problem.ssqpp) =
 let var_elem ~nu t u = (t * nu) + u
 let var_quorum ~n ~nu ~nq t q = (n * nu) + (t * nq) + q
 
+(* The nearest-first assignment: elements by decreasing load (ties by
+   index), each on the lowest rank with room left, under the 1e-12
+   tolerance that decides the pinning rows (13). [None] when an element
+   fits nowhere: that is bin packing, and the LP may still be
+   fractionally feasible. *)
+let first_fit caps loads =
+  let n = Array.length caps in
+  let used = Array.make n 0. in
+  let rank = Array.make (Array.length loads) 0 in
+  let place u =
+    let t = ref 0 in
+    while !t < n && used.(!t) +. loads.(u) > caps.(!t) +. 1e-12 do
+      incr t
+    done;
+    !t < n
+    && begin
+         used.(!t) <- used.(!t) +. loads.(u);
+         rank.(u) <- !t;
+         true
+       end
+  in
+  let order =
+    List.stable_sort
+      (fun a b -> Float.compare loads.(b) loads.(a))
+      (List.init (Array.length loads) Fun.id)
+  in
+  if List.for_all place order then Some rank else None
+
 (* Rows (10)-(14) with a zero objective. They depend on the source
-   only through [caps], the capacity of the node of each rank. *)
+   only through [caps], the capacity of the node of each rank. The
+   block carries the start of its first-fit assignment f, if there is
+   one: x_{f(u),u} for each element and x_{t_Q,Q} with
+   t_Q = max_{u in Q} f(u) for each quorum. With the slacks of rows
+   (12)-(14) that is a primal-feasible basis, so the simplex skips
+   phase 1. *)
 let constraint_block system strategy caps =
   let n = Array.length caps in
   let nu = Quorum.universe system in
@@ -71,6 +104,16 @@ let constraint_block system strategy caps =
           done)
         quorum)
     (Quorum.quorums system);
+  Option.iter
+    (fun rank ->
+      Lp.set_start lp
+        (Array.append
+           (Array.init nu (fun u -> var_elem rank.(u) u))
+           (Array.mapi
+              (fun q quorum ->
+                var_quorum (Array.fold_left (fun t u -> max t rank.(u)) 0 quorum) q)
+              (Quorum.quorums system))))
+    (first_fit caps loads);
   lp
 
 let caps_by_rank capacities node_of_rank = Array.map (fun v -> capacities.(v)) node_of_rank
@@ -137,6 +180,12 @@ let solve_warm ?max_pivots ?warm ?blocks (s : Problem.ssqpp) =
         ("universe", Obs.Json.Int nu); ("quorums", Obs.Json.Int nq) ]
   @@ fun () ->
   let lp, var_elem, var_quorum = lp_of ?blocks s ~node_of_rank ~dist in
+  if Lp.start lp = None then
+    Obs.Metrics.inc
+      (Obs.Metrics.counter
+         ~help:"LP starts by outcome: taken, refused, or no_first_fit (none built)"
+         ~labels:[ ("outcome", "no_first_fit") ] (Obs.Metrics.current ())
+         "qp_simplex_start_total");
   match Simplex.solve_warm ?max_pivots ?warm lp with
   | Simplex.Infeasible, _ ->
       Obs.Span.add_attr "infeasible" (Obs.Json.Bool true);

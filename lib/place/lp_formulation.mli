@@ -28,7 +28,15 @@ type fractional = {
 
 val build : Problem.ssqpp -> Qp_lp.Lp.t * (int -> int -> int) * (int -> int -> int)
 (** [build s] returns the LP plus the variable numbering
-    [(var_elem t u, var_quorum t q)]; exposed for white-box tests. *)
+    [(var_elem t u, var_quorum t q)]; exposed for white-box tests.
+    The LP carries a {!Qp_lp.Lp.start} whenever a first-fit assignment
+    exists (elements by decreasing load, each on the lowest rank with
+    room left): x_{f(u),u} for each element and x_{t_Q,Q} with
+    t_Q = max_{u in Q} f(u) for each quorum, which with the slacks of
+    rows (12)–(14) is a primal-feasible basis, so
+    {!Qp_lp.Simplex.solve} skips phase 1. With no first-fit assignment
+    (bin packing, though the LP may still be fractionally feasible) it
+    carries none. *)
 
 type blocks
 (** Rows (10)–(14) for the candidate sources of one solve. Those rows
@@ -69,7 +77,9 @@ val solve_warm :
     when the LP is infeasible. With [~blocks] (built from the same
     problem) the LP takes its rows from the block of its
     capacity-by-rank vector; one missing from [blocks] is built afresh.
-    The LP, and so every output bit, is the one {!build} makes. *)
+    The LP, and so every output bit, is the one {!build} makes, start
+    included. A candidate LP without a start counts in
+    [qp_simplex_start_total{outcome="no_first_fit"}]. *)
 
 val quorum_frontier : fractional -> int -> float
 (** [quorum_frontier sol q] = [D_Q = sum_t d_t x_tQ], the per-quorum

@@ -6,8 +6,9 @@
     solve and crash-starts the next one from it
     ({!Qp_lp.Simplex.solve_warm}); when the delta is small the LP
     re-solves in far fewer pivots, and when it is not the solver
-    falls back to the cold path per candidate, so {!solve} always
-    returns the same answer {!Qpp_solver.solve} would. *)
+    falls back to the cold path per candidate (the LP's first-fit
+    start, else phase 1), so {!solve} always returns the same answer
+    {!Qpp_solver.solve} would. *)
 
 type t
 

@@ -241,6 +241,60 @@ let test_warm_identity () =
       | _ -> Alcotest.fail "warm re-solve not optimal")
   | _ -> Alcotest.fail "cold solve not optimal"
 
+(* A warm basis that no longer crashes feasibly hands over to the
+   model's start, not to phase 1. min -x0 s.t. x0 + x1 = 1, x0 <= c:
+   the optimal basis {x0, x1} at c = 0.5 puts x1 at -0.5 at c = 1.5,
+   where the start {x1} (x1 = 1, slack 1.5) is feasible. *)
+let test_warm_falls_back_to_start () =
+  let lp c =
+    let lp = Lp.create 2 in
+    Lp.set_objective lp 0 (-1.);
+    Lp.add_constraint lp [ (0, 1.); (1, 1.) ] Lp.Eq 1.;
+    Lp.add_constraint lp [ (0, 1.) ] Lp.Le c;
+    lp
+  in
+  match Simplex.solve_warm (lp 0.5) with
+  | Simplex.Optimal _, Some basis -> (
+      let moved = lp 1.5 in
+      Lp.set_start moved [| 1 |];
+      let reg = Qp_obs.Metrics.create ~enabled:true () in
+      let outcome =
+        Qp_obs.Metrics.with_current reg (fun () -> Simplex.solve_warm ~warm:basis moved)
+      in
+      let counter ?labels name =
+        Qp_obs.Metrics.counter_value (Qp_obs.Metrics.counter ?labels reg name)
+      in
+      let start outcome = counter ~labels:[ ("outcome", outcome) ] "qp_simplex_start_total" in
+      Alcotest.(check (float 0.)) "warm tried" 1. (counter "qp_simplex_warm_attempts_total");
+      Alcotest.(check (float 0.)) "warm refused" 0. (counter "qp_simplex_warm_used_total");
+      Alcotest.(check (float 0.)) "start taken" 1. (start "taken");
+      Alcotest.(check (float 0.)) "start not refused" 0. (start "refused");
+      (* One crash pivot for x1, one phase-2 pivot for x0. *)
+      Alcotest.(check (float 0.)) "pivots" 2. (counter "qp_simplex_pivots_total");
+      match outcome with
+      | Simplex.Optimal { objective; _ }, _ -> check_float "objective" (-1.) objective
+      | _ -> Alcotest.fail "feasible and bounded")
+  | _ -> Alcotest.fail "cold solve not optimal"
+
+(* A start that is not primal-feasible is refused, and phase 1 solves
+   the LP as it does without one. *)
+let test_infeasible_start_refused () =
+  let lp = Lp.create 2 in
+  Lp.set_objective lp 0 (-1.);
+  Lp.add_constraint lp [ (0, 1.); (1, 1.) ] Lp.Eq 1.;
+  Lp.add_constraint lp [ (0, 1.) ] Lp.Le 0.5;
+  Lp.set_start lp [| 0 |];
+  let reg = Qp_obs.Metrics.create ~enabled:true () in
+  let _, objective = Qp_obs.Metrics.with_current reg (fun () -> solve_opt lp) in
+  check_float "objective" (-0.5) objective;
+  Alcotest.(check (float 0.)) "start refused" 1.
+    (Qp_obs.Metrics.counter_value
+       (Qp_obs.Metrics.counter ~labels:[ ("outcome", "refused") ] reg
+          "qp_simplex_start_total"));
+  Alcotest.check_raises "start columns in range"
+    (Invalid_argument "Lp.set_start: variable out of range") (fun () ->
+      Lp.set_start lp [| 2 |])
+
 (* A witness LP is feasible (the witness) and bounded (objective >= 0
    on x >= 0), so it must solve to an optimum no worse than the
    witness; its planted-infeasible copy must be classified as such. *)
@@ -400,6 +454,9 @@ let suites =
         Alcotest.test_case "transportation" `Quick test_transportation;
         Alcotest.test_case "beale anti-cycling" `Quick test_beale_cycling;
         Alcotest.test_case "warm re-solve of identical LP" `Quick test_warm_identity;
+        Alcotest.test_case "failed warm crash takes the start" `Quick
+          test_warm_falls_back_to_start;
+        Alcotest.test_case "infeasible start refused" `Quick test_infeasible_start_refused;
       ] );
     ( "lp.duality",
       [

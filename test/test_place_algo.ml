@@ -7,6 +7,9 @@ module Strategy = Qp_quorum.Strategy
 module Simple_qs = Qp_quorum.Simple_qs
 module Grid_qs = Qp_quorum.Grid_qs
 module Majority_qs = Qp_quorum.Majority_qs
+module Lp = Qp_lp.Lp
+module Simplex = Qp_lp.Simplex
+module Metrics = Qp_obs.Metrics
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -82,6 +85,79 @@ let test_lp_ordering_fields () =
         Alcotest.(check int) "inverse maps" t
           sol.Lp_formulation.rank_of_node.(sol.Lp_formulation.node_of_rank.(t))
       done
+
+(* The rows and objective of [lp] copied into a fresh model, which
+   carries no start. *)
+let startless lp =
+  let copy = Lp.with_objective (Lp.create (Lp.n_vars lp)) (Lp.objective lp) in
+  List.iter
+    (fun (r : Lp.constr) -> Lp.add_constraint copy r.Lp.terms r.Lp.cmp r.Lp.rhs)
+    (Lp.constraints lp);
+  copy
+
+let counter reg ?labels name = Metrics.counter_value (Metrics.counter ?labels reg name)
+let starts reg outcome = counter reg ~labels:[ ("outcome", outcome) ] "qp_simplex_start_total"
+
+(* Two ranks of capacity 1.05 and element loads 0.8/0.7/0.5: no two
+   elements fit on one node, so first-fit (indeed every integral
+   assignment) fails, yet the loads fit fractionally. The LP carries
+   no start and runs phase 1 exactly as its start-less copy does. *)
+let test_lp_no_first_fit () =
+  let system = Simple_qs.triangle () in
+  let strategy = Strategy.of_weights system [| 0.5; 0.3; 0.2 |] in
+  let p =
+    Problem.of_graph_qpp ~graph:(Generators.path 2) ~capacities:[| 1.05; 1.05 |] ~system
+      ~strategy ()
+  in
+  let s = Problem.ssqpp_of_qpp p 0 in
+  let lp, _, _ = Lp_formulation.build s in
+  Alcotest.(check bool) "no start" true (Lp.start lp = None);
+  let reg = Metrics.create ~enabled:true () and copy_reg = Metrics.create ~enabled:true () in
+  let sol = Metrics.with_current reg (fun () -> Lp_formulation.solve s) in
+  let copy = Metrics.with_current copy_reg (fun () -> Simplex.solve (startless lp)) in
+  List.iter
+    (fun (outcome, expected) ->
+      Alcotest.(check (float 0.)) outcome expected (starts reg outcome))
+    [ ("taken", 0.); ("refused", 0.); ("no_first_fit", 1.) ];
+  let pivots reg = counter reg "qp_simplex_pivots_total" in
+  Alcotest.(check bool) "phase 1 ran" true (pivots reg > 0.);
+  Alcotest.(check (float 0.)) "pivots as start-less" (pivots copy_reg) (pivots reg);
+  match (sol, copy) with
+  | Some sol, Simplex.Optimal { objective; _ } ->
+      Alcotest.(check (float 0.)) "z* as start-less" objective sol.Lp_formulation.z_star
+  | _ -> Alcotest.fail "fractionally feasible"
+
+(* [Resolve] after the busiest node dies: neither candidate's warm
+   basis crashes feasibly any more, so both fall back to their LP's
+   start and solve exactly as a cold solve does. *)
+let test_resolve_falls_back_to_start () =
+  let p =
+    Result.get_ok
+      (Qp_instance.Spec.build
+         { Qp_instance.Spec.default with Qp_instance.Spec.nodes = 10; cap_slack = 1.6 })
+  in
+  let candidates = [ 0; 5 ] in
+  let resolve = Resolve.create ~candidates () in
+  let first = Option.get (Resolve.solve resolve p) in
+  let loads = Placement.node_loads p first.Qpp_solver.placement in
+  let busiest = ref 0 in
+  Array.iteri (fun v l -> if l > loads.(!busiest) then busiest := v) loads;
+  let caps = Array.copy p.Problem.capacities in
+  caps.(!busiest) <- 0.;
+  let dead = { p with Problem.capacities = caps } in
+  let reg = Metrics.create ~enabled:true () in
+  let warm = Metrics.with_current reg (fun () -> Option.get (Resolve.solve resolve dead)) in
+  let cold = Option.get (Qpp_solver.solve ~candidates dead) in
+  Alcotest.(check (float 0.)) "both candidates tried warm" 2.
+    (counter reg "qp_simplex_warm_attempts_total");
+  Alcotest.(check (float 0.)) "both warm crashes failed" 0.
+    (counter reg "qp_simplex_warm_used_total");
+  Alcotest.(check (float 0.)) "both took the start" 2. (starts reg "taken");
+  Alcotest.(check (float 0.)) "no start refused" 0. (starts reg "refused");
+  Alcotest.(check bool) "same placement as cold" true
+    (warm.Qpp_solver.placement = cold.Qpp_solver.placement);
+  Alcotest.(check (float 0.)) "same z* as cold" cold.Qpp_solver.ssqpp.Rounding.z_star
+    warm.Qpp_solver.ssqpp.Rounding.z_star
 
 (* ------------------------------------------------------------------ *)
 (* Filtering                                                           *)
@@ -532,11 +608,88 @@ let prop_scale_invariance =
           && close a.Rounding.delay b.Rounding.delay
       | _ -> false)
 
+(* Random placement instances for the LP start: dead nodes
+   (capacity 0), random strategies, and on odd seeds the complete
+   graph with nodes 2i and 2i+1 at one capacity, so candidates share
+   non-uniform constraint blocks. *)
+let start_qpp seed =
+  let rng = Rng.create seed in
+  let n = 4 + Rng.int rng 5 in
+  let g =
+    if seed mod 2 = 0 then fst (Generators.random_geometric rng n 0.5)
+    else Generators.complete n
+  in
+  let system =
+    match Rng.int rng 4 with
+    | 0 -> Simple_qs.triangle ()
+    | 1 -> Grid_qs.make 2
+    | 2 -> Simple_qs.wheel 4
+    | _ -> Majority_qs.make ~n:5 ~t:3
+  in
+  let strategy =
+    if Rng.int rng 2 = 0 then Strategy.uniform system
+    else
+      Strategy.of_weights system
+        (Array.init (Quorum.n_quorums system) (fun _ -> 0.1 +. Rng.float rng 1.))
+  in
+  let max_load = Array.fold_left Float.max 0. (Strategy.loads system strategy) in
+  let factors = [| 0.; 0.5; 1.; 1.5; 2.5 |] in
+  let draws = Array.init n (fun _ -> Rng.int rng 5) in
+  let caps =
+    Array.init n (fun v -> max_load *. factors.(draws.(if seed mod 2 = 0 then v else v / 2)))
+  in
+  Problem.of_graph_qpp ~graph:g ~capacities:caps ~system ~strategy ()
+
+(* Every candidate's LP, solved from its start, agrees with the same
+   rows in a start-less model: the same verdict, z* to 1e-9 relative,
+   and a certificate that checks on both. The start is taken whenever
+   first-fit found one, also through the shared blocks of
+   [Qpp_solver.solve]. *)
+let prop_start_matches_startless =
+  QCheck.Test.make ~name:"LP with its start = start-less LP (dead nodes, shared blocks)"
+    ~count:40 QCheck.small_int (fun seed ->
+      let p = start_qpp seed in
+      let n = Problem.n_nodes p in
+      let lps =
+        List.init n (fun v0 ->
+            let lp, _, _ = Lp_formulation.build (Problem.ssqpp_of_qpp p v0) in
+            lp)
+      in
+      let agrees lp =
+        let reg = Metrics.create ~enabled:true () in
+        let a = Metrics.with_current reg (fun () -> Simplex.solve_certified lp) in
+        let b = Simplex.solve_certified (startless lp) in
+        let has_start = Lp.start lp <> None in
+        starts reg "taken" = (if has_start then 1. else 0.)
+        && starts reg "refused" = 0.
+        &&
+        match (a, b) with
+        | Simplex.C_infeasible, Simplex.C_infeasible -> true
+        | Simplex.Certified ca, Simplex.Certified cb ->
+            Float.abs (ca.Simplex.objective -. cb.Simplex.objective)
+            <= 1e-9 *. Float.max 1. (Float.abs cb.Simplex.objective)
+            && Simplex.check_certificate lp ca
+            && Simplex.check_certificate lp cb
+        | _ -> false
+      in
+      let with_start = List.length (List.filter (fun lp -> Lp.start lp <> None) lps) in
+      let reg = Metrics.create ~enabled:true () in
+      let (_ : Qpp_solver.result option) =
+        Metrics.with_current reg (fun () -> Qpp_solver.solve p)
+      in
+      List.for_all agrees lps
+      && starts reg "taken" = float_of_int with_start
+      && starts reg "refused" = 0.
+      && starts reg "no_first_fit" = float_of_int (n - with_start)
+      && (seed mod 2 = 0
+         || Lp_formulation.(n_blocks (blocks p (List.init n Fun.id))) > 0))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_thm37_random; prop_grid_concentric_optimal;
       prop_majority_any_placement_same_delay; prop_scale_invariance;
+      prop_start_matches_startless;
     ]
 
 let suites =
@@ -547,6 +700,9 @@ let suites =
         Alcotest.test_case "infeasible detection" `Quick test_lp_infeasible_detection;
         Alcotest.test_case "zero when colocated" `Quick test_lp_zero_when_colocated;
         Alcotest.test_case "ordering fields" `Quick test_lp_ordering_fields;
+        Alcotest.test_case "no first-fit: no start, phase 1" `Quick test_lp_no_first_fit;
+        Alcotest.test_case "Resolve falls back to the start" `Quick
+          test_resolve_falls_back_to_start;
       ] );
     ( "place.filtering",
       [

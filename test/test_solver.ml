@@ -245,7 +245,15 @@ let test_seed_solve_pivots () =
   in
   let counter name = Qp_obs.Metrics.counter_value (Qp_obs.Metrics.counter reg name) in
   Alcotest.(check (float 0.)) "simplex solves" 16. (counter "qp_simplex_solves_total");
-  Alcotest.(check (float 0.)) "simplex pivots" 6482. (counter "qp_simplex_pivots_total")
+  Alcotest.(check (float 0.)) "simplex pivots" 3706. (counter "qp_simplex_pivots_total");
+  (* Every candidate's LP starts phase 2 from its first-fit start. *)
+  List.iter
+    (fun (outcome, expected) ->
+      Alcotest.(check (float 0.)) ("start " ^ outcome) expected
+        (Qp_obs.Metrics.counter_value
+           (Qp_obs.Metrics.counter ~labels:[ ("outcome", outcome) ] reg
+              "qp_simplex_start_total")))
+    [ ("taken", 16.); ("refused", 0.); ("no_first_fit", 0.) ]
 
 (* The row-generation reproducer of a simplex numeric failure: on the
    default-seed waxman n = 16 grid:4 instance, source v0 = 2, solve LP
