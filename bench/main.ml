@@ -23,18 +23,20 @@
 
 module Obs = Qp_obs
 
-(* One experiment: fresh enabled registry scoped over the run, so the
-   recorded series are exactly the experiment's own, no matter which
-   domain executes it or what runs beside it. Its wide event is the
-   span root of the run, so the record breaks its time down by the
-   solver spans it passed through. *)
+(* One experiment: fresh enabled registry and APSP cache scoped over
+   the run, so the recorded series are exactly the experiment's own, no
+   matter which domain executes it or what ran before or beside it (a
+   shared cache would turn its APSP work counters into a record of the
+   cache's history). Its wide event is the span root of the run, so the
+   record breaks its time down by the solver spans it passed through. *)
 let run_one ~buffer name =
   let reg = Obs.Metrics.create ~enabled:true () in
   let ev = Obs.Wide.start ~kind:"bench_experiment" () in
   Obs.Wide.set_str ev "experiment" name;
   let run () =
     Obs.Metrics.with_current reg (fun () ->
-        Obs.Wide.within ev (fun () -> Experiments.by_name name))
+        Qp_graph.Metric.with_private_apsp_cache (fun () ->
+            Obs.Wide.within ev (fun () -> Experiments.by_name name)))
   in
   let t0 = Obs.Core.now () in
   (try match buffer with Some b -> Qp_par.Io.with_buffer b run | None -> run ()

@@ -36,19 +36,57 @@ let copy_mat (d : mat) : mat =
   Bigarray.Array1.blit d c;
   c
 
-let of_matrix d =
+(* ------------------------------------------------------------------ *)
+(* Whole-matrix scans                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The O(n^2) passes that callers in other modules would otherwise run
+   one [dist] call per entry. Each is a plain loop over the flat
+   Bigarray here, with the iteration order, tie rules and float sums of
+   the per-entry loop it replaces, so it returns the same defect,
+   parents, verdict or bits. *)
+
+type defect = Non_finite | Negative | Asymmetric | Nonzero_diagonal
+
+(* Row by row: the diagonal entry (non-finite before non-zero), then
+   each off-diagonal (i, j), j > i — or every j <> i with [~lower] — as
+   non-finite, negative, or not within [Floatx.approx] of (j, i).
+
+   [Floatx.approx a b] is c <= eps·max(1, |a|, |b|) with c = |a - b|
+   and [Float.max], whose sign-bit tests are C calls. With eps > 0,
+   rounding is monotone, so eps·max(x, y, z) is the largest of eps·x,
+   eps·y and eps·z, and the test is c <= eps || c <= eps·|a| ||
+   c <= eps·|b|: the same verdict on every input (a NaN operand makes
+   c NaN, false either way), and mostly decided by its first
+   comparison. *)
+let first_defect ?(lower = false) t =
+  let n = t.n and d = t.d in
+  let eps = Qp_util.Floatx.eps in
+  let exception Found of defect * int * int in
+  try
+    for i = 0 to n - 1 do
+      let irow = i * n in
+      let dii = Bigarray.Array1.unsafe_get d (irow + i) in
+      if not (Float.is_finite dii) then raise (Found (Non_finite, i, i));
+      if dii <> 0. then raise (Found (Nonzero_diagonal, i, i));
+      for j = (if lower then 0 else i + 1) to n - 1 do
+        if j <> i then begin
+          let dij = Bigarray.Array1.unsafe_get d (irow + j)
+          and dji = Bigarray.Array1.unsafe_get d ((j * n) + i) in
+          if not (Float.is_finite dij) then raise (Found (Non_finite, i, j));
+          if dij < 0. then raise (Found (Negative, i, j));
+          let c = Float.abs (dij -. dji) in
+          if not (c <= eps || c <= eps *. Float.abs dij || c <= eps *. Float.abs dji)
+          then raise (Found (Asymmetric, i, j))
+        end
+      done
+    done;
+    None
+  with Found (defect, i, j) -> Some (defect, i, j)
+
+let of_matrix_unchecked d =
   let n = Array.length d in
   Array.iter (fun row -> if Array.length row <> n then invalid_arg "Metric.of_matrix: not square") d;
-  for i = 0 to n - 1 do
-    if d.(i).(i) <> 0. then invalid_arg "Metric.of_matrix: non-zero diagonal";
-    for j = 0 to n - 1 do
-      if not (Float.is_finite d.(i).(j)) then
-        invalid_arg "Metric.of_matrix: non-finite distance";
-      if d.(i).(j) < 0. then invalid_arg "Metric.of_matrix: negative distance";
-      if not (Qp_util.Floatx.approx d.(i).(j) d.(j).(i)) then
-        invalid_arg "Metric.of_matrix: not symmetric"
-    done
-  done;
   let flat = alloc n in
   for i = 0 to n - 1 do
     let off = i * n in
@@ -58,6 +96,94 @@ let of_matrix d =
     done
   done;
   { n; d = flat }
+
+let of_matrix d =
+  let t = of_matrix_unchecked d in
+  match first_defect ~lower:true t with
+  | None -> t
+  | Some (Nonzero_diagonal, _, _) -> invalid_arg "Metric.of_matrix: non-zero diagonal"
+  (* A non-finite diagonal entry fails the [<> 0.] test too. *)
+  | Some (Non_finite, i, j) when i = j ->
+      invalid_arg "Metric.of_matrix: non-zero diagonal"
+  | Some (Non_finite, _, _) -> invalid_arg "Metric.of_matrix: non-finite distance"
+  | Some (Negative, _, _) -> invalid_arg "Metric.of_matrix: negative distance"
+  | Some (Asymmetric, _, _) -> invalid_arg "Metric.of_matrix: not symmetric"
+
+(* Minimum spanning tree of the complete distance graph (Prim, O(n^2)):
+   the first vertex of least key joins next, and a key drops only on a
+   strictly shorter edge. One pass per joined vertex lowers the keys
+   through it and picks the next vertex: each key is final for this
+   round before it is compared, so the pick is the one a separate scan
+   after the updates would make. *)
+let mst_parent t =
+  let n = t.n and d = t.d in
+  let parent = Array.make n (-1) in
+  if n > 1 then begin
+    let in_tree = Array.make n false in
+    let best = Array.make n infinity in
+    let best_from = Array.make n 0 in
+    in_tree.(0) <- true;
+    let u = ref 0 in
+    for v = 1 to n - 1 do
+      best.(v) <- Bigarray.Array1.unsafe_get d v;
+      if v = 1 || best.(v) < best.(!u) then u := v
+    done;
+    for _ = 2 to n - 1 do
+      let joined = !u in
+      in_tree.(joined) <- true;
+      parent.(joined) <- best_from.(joined);
+      let urow = joined * n in
+      u := -1;
+      for v = 0 to n - 1 do
+        if not (Array.unsafe_get in_tree v) then begin
+          let duv = Bigarray.Array1.unsafe_get d (urow + v) in
+          if duv < Array.unsafe_get best v then begin
+            Array.unsafe_set best v duv;
+            Array.unsafe_set best_from v joined
+          end;
+          if !u < 0 || Array.unsafe_get best v < Array.unsafe_get best !u then u := v
+        end
+      done
+    done;
+    parent.(!u) <- best_from.(!u)
+  end;
+  parent
+
+(* [if dm > 1. then dm else 1.] is [Float.max 1. dm] for every non-NaN
+   dm, without its sign-bit calls; a NaN dm makes the difference NaN,
+   which passes either way. *)
+let row_agrees t s row ~tol =
+  let n = t.n in
+  if s < 0 || s >= n || Array.length row <> n then
+    invalid_arg "Metric.row_agrees: row or source out of range";
+  let srow = s * n in
+  let v = ref 0 in
+  while
+    !v < n
+    &&
+    let dm = Bigarray.Array1.unsafe_get t.d (srow + !v) in
+    not (Float.abs (Array.unsafe_get row !v -. dm) > tol *. (if dm > 1. then dm else 1.))
+  do
+    incr v
+  done;
+  !v = n
+
+let weighted_max_sum t rates a b =
+  let n = t.n and d = t.d in
+  if a < 0 || a >= n || b < 0 || b >= n || Array.length rates <> n then
+    invalid_arg "Metric.weighted_max_sum: vertex or rates out of range";
+  let acc = ref 0. in
+  for v = 0 to n - 1 do
+    let r = Array.unsafe_get rates v in
+    if r > 0. then
+      acc :=
+        !acc
+        +. r
+           *. Float.max
+                (Bigarray.Array1.unsafe_get d ((v * n) + a))
+                (Bigarray.Array1.unsafe_get d ((v * n) + b))
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* APSP cache                                                          *)
@@ -71,79 +197,105 @@ let of_matrix d =
    allocation. Bounded FIFO so long-lived processes cannot grow it
    without limit; mutex-guarded so worker domains can build metrics
    concurrently. The resident-bytes total is tracked on every
-   insert/evict and mirrored into the [qp_apsp_cache_bytes] gauge. *)
+   insert/evict and mirrored into the [qp_apsp_cache_bytes] gauge.
+
+   The cache in use is domain-local: the process-wide one unless
+   [with_private_apsp_cache] scopes a fresh one, which a [Qp_par.Pool]
+   context hook carries into the scope's pool tasks. A unit of work
+   whose counters must not depend on what ran before or beside it (one
+   bench experiment) runs in a scope of its own. *)
 
 type fingerprint = int * (int * int * float) list
 
+type cache = {
+  entries : (fingerprint, t) Hashtbl.t;
+  order : fingerprint Queue.t;
+  lock : Mutex.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable partial : int;
+  mutable bytes : int;
+}
+
 let cache_capacity = 16
-let cache : (fingerprint, t) Hashtbl.t = Hashtbl.create cache_capacity
-let cache_order : fingerprint Queue.t = Queue.create ()
-let cache_lock = Mutex.create ()
-let cache_hits = ref 0
-let cache_misses = ref 0
-let cache_partial = ref 0
-let cache_bytes = ref 0
+
+let new_cache () =
+  { entries = Hashtbl.create cache_capacity; order = Queue.create ();
+    lock = Mutex.create (); hits = 0; misses = 0; partial = 0; bytes = 0 }
+
+let process_cache = new_cache ()
+let cache_key : cache Domain.DLS.key = Domain.DLS.new_key (fun () -> process_cache)
+let current_cache () = Domain.DLS.get cache_key
+
+let with_cache c f =
+  let prev = Domain.DLS.get cache_key in
+  Domain.DLS.set cache_key c;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set cache_key prev) f
+
+let with_private_apsp_cache f = with_cache (new_cache ()) f
+
+let () =
+  Qp_par.Pool.register_context_hook (fun () ->
+      let c = current_cache () in
+      fun thunk -> with_cache c thunk)
 
 let entry_bytes m = 8 * Bigarray.Array1.dim m.d
 
-let publish_cache_bytes () =
+let publish_cache_bytes c =
   Qp_obs.Metrics.set
     (Qp_obs.Metrics.gauge
        ~help:"Bytes of distance-matrix data resident in the APSP cache"
        (Qp_obs.Metrics.current ()) "qp_apsp_cache_bytes")
-    (float_of_int !cache_bytes)
+    (float_of_int c.bytes)
 
 let fingerprint g : fingerprint = (Graph.n_vertices g, Graph.edges g)
 
-let cache_find key =
-  Mutex.protect cache_lock (fun () ->
-      match Hashtbl.find_opt cache key with
-      | Some m ->
-          incr cache_hits;
-          Some m
-      | None ->
-          incr cache_misses;
-          None)
+let count_miss c = Mutex.protect c.lock (fun () -> c.misses <- c.misses + 1)
 
 (* Lookup that counts a hit but leaves the miss classification (full
    vs partial) to the caller. *)
-let cache_peek key =
-  Mutex.protect cache_lock (fun () ->
-      match Hashtbl.find_opt cache key with
+let cache_peek c key =
+  Mutex.protect c.lock (fun () ->
+      match Hashtbl.find_opt c.entries key with
       | Some m ->
-          incr cache_hits;
+          c.hits <- c.hits + 1;
           Some m
       | None -> None)
 
-let cache_insert key m =
-  Mutex.protect cache_lock (fun () ->
-      if not (Hashtbl.mem cache key) then begin
-        if Hashtbl.length cache >= cache_capacity then begin
-          let victim = Queue.pop cache_order in
-          (match Hashtbl.find_opt cache victim with
-          | Some old -> cache_bytes := !cache_bytes - entry_bytes old
+let cache_insert c key m =
+  Mutex.protect c.lock (fun () ->
+      if not (Hashtbl.mem c.entries key) then begin
+        if Hashtbl.length c.entries >= cache_capacity then begin
+          let victim = Queue.pop c.order in
+          (match Hashtbl.find_opt c.entries victim with
+          | Some old -> c.bytes <- c.bytes - entry_bytes old
           | None -> ());
-          Hashtbl.remove cache victim
+          Hashtbl.remove c.entries victim
         end;
-        Hashtbl.add cache key m;
-        Queue.push key cache_order;
-        cache_bytes := !cache_bytes + entry_bytes m;
-        publish_cache_bytes ()
+        Hashtbl.add c.entries key m;
+        Queue.push key c.order;
+        c.bytes <- c.bytes + entry_bytes m;
+        publish_cache_bytes c
       end)
 
-let apsp_cache_stats () = (!cache_hits, !cache_misses, !cache_partial)
+let apsp_cache_stats () =
+  let c = current_cache () in
+  (c.hits, c.misses, c.partial)
 
-let apsp_cache_bytes () = Mutex.protect cache_lock (fun () -> !cache_bytes)
+let apsp_cache_bytes () =
+  let c = current_cache () in
+  Mutex.protect c.lock (fun () -> c.bytes)
 
 let reset_apsp_cache () =
-  Mutex.protect cache_lock (fun () ->
-      Hashtbl.reset cache;
-      Queue.clear cache_order;
-      cache_hits := 0;
-      cache_misses := 0;
-      cache_partial := 0;
-      cache_bytes := 0;
-      publish_cache_bytes ())
+  let c = current_cache () in
+  Mutex.protect c.lock (fun () ->
+      Hashtbl.reset c.entries;
+      Queue.clear c.order;
+      c.hits <- 0;
+      c.misses <- 0;
+      c.partial <- 0;
+      c.bytes <- 0;
+      publish_cache_bytes c)
 
 (* ------------------------------------------------------------------ *)
 (* APSP algorithm selection                                            *)
@@ -165,27 +317,38 @@ let density g =
   else
     float_of_int (Graph.n_edges g) /. (float_of_int n *. float_of_int (n - 1) /. 2.)
 
+(* Connectivity is read off the result: a disconnected graph leaves an
+   infinite distance in row 0. So an APSP runs no separate
+   connectivity pass beside the one the row kernel's tree test makes
+   on a graph with n - 1 edges. *)
 let compute_apsp g =
   let n = Graph.n_vertices g in
   let d = alloc n in
   if n >= fw_min_nodes && density g >= fw_min_density then
     Apsp.floyd_warshall_into g d
   else Apsp.repeated_dijkstra_into g d;
+  for v = 0 to n - 1 do
+    if Bigarray.Array1.unsafe_get d v = infinity then
+      invalid_arg "Metric.of_graph: disconnected graph"
+  done;
   { n; d }
 
 let of_graph ?(cache = true) g =
-  if not (Graph.is_connected g) then invalid_arg "Metric.of_graph: disconnected graph";
   if not cache then compute_apsp g
   else begin
+    (* Only connected graphs are ever inserted, so a hit needs no
+       connectivity test. *)
+    let c = current_cache () in
     let key = fingerprint g in
-    match cache_find key with
+    match cache_peek c key with
     | Some m -> m
     | None ->
         (* Compute outside the lock: APSP dominates, and a racing
            duplicate computation is deterministic so either copy may
            land in the cache. *)
         let m = compute_apsp g in
-        cache_insert key m;
+        count_miss c;
+        cache_insert c key m;
         m
   end
 
@@ -292,27 +455,26 @@ let of_graph_delta ?(cache = true) ~base ~base_graph g =
   let n = Graph.n_vertices g in
   if not (Graph.is_connected g) then
     invalid_arg "Metric.of_graph_delta: disconnected graph";
-  let full ~count_miss =
-    if count_miss then
-      Mutex.protect cache_lock (fun () -> incr cache_misses);
+  let c = current_cache () in
+  let full () =
+    count_miss c;
     let m = compute_apsp g in
-    if cache then cache_insert (fingerprint g) m;
+    if cache then cache_insert c (fingerprint g) m;
     m
   in
-  if n <> base.n || n <> Graph.n_vertices base_graph then full ~count_miss:true
+  if n <> base.n || n <> Graph.n_vertices base_graph then full ()
   else begin
     let key = fingerprint g in
-    let cached = if cache then cache_peek key else None in
+    let cached = if cache then cache_peek c key else None in
     match cached with
     | Some m -> m
     | None -> (
         let deltas = classify_deltas (Graph.edges base_graph) (Graph.edges g) in
         match deltas with
         | [] -> { n; d = base.d }
-        | _ when List.length deltas > max_incremental_deltas ->
-            full ~count_miss:true
+        | _ when List.length deltas > max_incremental_deltas -> full ()
         | _ ->
-            Mutex.protect cache_lock (fun () -> incr cache_partial);
+            Mutex.protect c.lock (fun () -> c.partial <- c.partial + 1);
             let d = copy_mat base.d in
             (* Working edge set matching [d], so the rows recomputed
                after a tightening see the right lengths. *)
@@ -356,7 +518,7 @@ let of_graph_delta ?(cache = true) ~base ~base_graph g =
                       rows)
               deltas;
             Apsp.record_work ~heap_pops:!heap_pops ~tree_rows:!tree_rows;
-            if cache then cache_insert key { n; d };
+            if cache then cache_insert c key { n; d };
             { n; d })
   end
 

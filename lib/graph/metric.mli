@@ -30,6 +30,43 @@ val of_matrix : float array array -> t
     square, symmetric, non-negative, with a zero diagonal. Triangle
     inequality is NOT enforced here; use {!check_triangle}. *)
 
+val of_matrix_unchecked : float array array -> t
+(** {!of_matrix} without the entry checks (the matrix must still be
+    square): a handle on any entries, for tests of the validators that
+    defend against such metrics, {!first_defect} and
+    {!Qp_place.Problem}'s. *)
+
+type defect = Non_finite | Negative | Asymmetric | Nonzero_diagonal
+
+val first_defect : ?lower:bool -> t -> (defect * int * int) option
+(** The first entry [(i, j)] that is not a distance, or [None]. Rows are
+    scanned in order; in row [i] first the diagonal entry
+    ([Non_finite], else [Nonzero_diagonal]), then each [(i, j)] with
+    [j > i] — every [j <> i] with [~lower:true] — in column order:
+    [Non_finite], [Negative], or [Asymmetric] when it is not within
+    {!Qp_util.Floatx.approx} of [(j, i)]. {!of_matrix} scans with
+    [~lower:true]; {!Qp_place.Problem} validation scans the upper
+    triangle. One O(n^2) loop over the flat matrix. *)
+
+val mst_parent : t -> int array
+(** Parent of each vertex in the minimum spanning tree of the complete
+    distance graph rooted at 0 ([-1] for the root), by Prim in O(n^2):
+    the first vertex of least key joins next, and a key drops only on
+    a strictly shorter edge. On a tree metric it is the tree. *)
+
+val row_agrees : t -> int -> float array -> tol:float -> bool
+(** [row_agrees m s row ~tol] holds unless some [v] has
+    [|row.(v) - dist m s v| > tol * max 1 (dist m s v)].
+    @raise Invalid_argument unless [s] is a vertex and
+    [Array.length row = size m]. *)
+
+val weighted_max_sum : t -> float array -> int -> int -> float
+(** [weighted_max_sum m r a b] is the sum over [v] with [r.(v) > 0], in
+    increasing [v], of [r.(v) * max (dist m v a) (dist m v b)] — the
+    tree solver's unnormalised two-center cost.
+    @raise Invalid_argument unless [a] and [b] are vertices and
+    [Array.length r = size m]. *)
+
 val of_graph : ?cache:bool -> Graph.t -> t
 (** Shortest-path metric of a connected graph. Sparse graphs run
     Dijkstra from every vertex, fanned out over
@@ -37,8 +74,9 @@ val of_graph : ?cache:bool -> Graph.t -> t
     Floyd–Warshall over the flat matrix (both bit-deterministic for
     any worker count; the size floor keeps seed-size instances on the
     historical Dijkstra rounding). With [cache] (the default), the
-    metric is memoized in a small process-wide table keyed by graph
-    structure, so callers that regenerate the same topology from the
+    metric is memoized in a small table keyed by graph structure (the
+    process-wide one unless {!with_private_apsp_cache} scopes
+    another), so callers that regenerate the same topology from the
     same seed — notably bench experiments — share one APSP
     computation; pass [~cache:false] to force a fresh computation.
     @raise Invalid_argument if the graph is disconnected. *)
@@ -56,6 +94,13 @@ val of_graph_delta : ?cache:bool -> base:t -> base_graph:Graph.t -> Graph.t -> t
     inserted into the same cache; incremental reuses count as partial
     invalidations in {!apsp_cache_stats} rather than full misses.
     @raise Invalid_argument if [g] is disconnected. *)
+
+val with_private_apsp_cache : (unit -> 'a) -> 'a
+(** [with_private_apsp_cache f] runs [f] with a fresh, empty APSP cache
+    in place of the process-wide one, also in the pool tasks [f]
+    submits; the cache functions below act on the cache in scope. Its
+    hits, misses and resident metrics then depend on [f] alone, not on
+    what ran before or beside it. *)
 
 val apsp_cache_stats : unit -> int * int * int
 (** [(hits, misses, partial)] of the {!of_graph} APSP cache since start

@@ -25,19 +25,13 @@ let validate ~metric ~capacities ~system ~strategy ~client_rates =
      but a metric arriving through deserialization or future
      constructors must not poison every downstream LP and simulation
      with NaNs or asymmetric "distances". *)
-  for i = 0 to n - 1 do
-    if not (Float.is_finite (Metric.dist metric i i)) then
-      invalid_arg "Problem: non-finite metric entry";
-    if Metric.dist metric i i <> 0. then
-      invalid_arg "Problem: metric diagonal must be zero";
-    for j = i + 1 to n - 1 do
-      let d = Metric.dist metric i j in
-      if not (Float.is_finite d) then invalid_arg "Problem: non-finite metric entry";
-      if d < 0. then invalid_arg "Problem: negative metric entry";
-      if not (Qp_util.Floatx.approx d (Metric.dist metric j i)) then
-        invalid_arg "Problem: metric must be symmetric"
-    done
-  done;
+  (match Metric.first_defect metric with
+  | None -> ()
+  | Some (Metric.Non_finite, _, _) -> invalid_arg "Problem: non-finite metric entry"
+  | Some (Metric.Nonzero_diagonal, _, _) ->
+      invalid_arg "Problem: metric diagonal must be zero"
+  | Some (Metric.Negative, _, _) -> invalid_arg "Problem: negative metric entry"
+  | Some (Metric.Asymmetric, _, _) -> invalid_arg "Problem: metric must be symmetric");
   if Quorum.universe system = 0 then
     invalid_arg "Problem: quorum system has an empty universe";
   if Quorum.n_quorums system = 0 then invalid_arg "Problem: quorum system has no quorums";

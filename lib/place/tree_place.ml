@@ -1,6 +1,7 @@
 module Metric = Qp_graph.Metric
 module Quorum = Qp_quorum.Quorum
 module Qp_error = Qp_util.Qp_error
+module Obs = Qp_obs
 
 (* Exact placement on tree metrics.
 
@@ -14,10 +15,12 @@ module Qp_error = Qp_util.Qp_error
      objective(f) = sum_q p(q) * M(a_q, b_q),
      M(a, b)      = (1/R) sum_v r_v * max(d(v, a), d(v, b)),
 
-   a sum over one weighted two-center cost per quorum. M is computed
-   lazily per distinct node pair (O(n) each, memoized), and the
-   diametral pair of a quorum updates in O(1) per added element
-   (the new pair is the farthest of the three candidate pairs).
+   a sum over one weighted two-center cost per quorum. M costs O(n)
+   per node pair ({!Metric.weighted_max_sum}); the n one-center costs
+   M(v, v) are computed up front, the other pairs lazily and memoized,
+   and the diametral pair of a quorum updates in O(1) per added
+   element (the new pair is the farthest of the three candidate
+   pairs).
 
    The search is a depth-first branch-and-bound over element
    assignments, exact because the bound is admissible: M is monotone
@@ -39,63 +42,25 @@ module Qp_error = Qp_util.Qp_error
 (* Tree-metric verification                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimum spanning tree of the complete distance graph (Prim,
-   O(n^2)). On a genuine tree metric the MST is the underlying tree,
-   and path sums through it reproduce every distance. *)
-let mst_parent metric =
-  let n = Metric.size metric in
-  let parent = Array.make n (-1) in
-  let in_tree = Array.make n false in
-  let best = Array.make n infinity in
-  let best_from = Array.make n (-1) in
-  in_tree.(0) <- true;
-  for v = 1 to n - 1 do
-    best.(v) <- Metric.dist metric 0 v;
-    best_from.(v) <- 0
-  done;
-  for _ = 1 to n - 1 do
-    let u = ref (-1) in
-    for v = 0 to n - 1 do
-      if (not in_tree.(v)) && (!u < 0 || best.(v) < best.(!u)) then u := v
-    done;
-    let u = !u in
-    in_tree.(u) <- true;
-    parent.(u) <- best_from.(u);
-    for v = 0 to n - 1 do
-      if not in_tree.(v) then begin
-        let d = Metric.unsafe_dist metric u v in
-        if d < best.(v) then begin
-          best.(v) <- d;
-          best_from.(v) <- u
-        end
-      end
-    done
-  done;
-  parent
-
 let verify_tol = 1e-6
 
-(* Check that summing MST edges along tree paths reproduces the whole
-   matrix: the shortest-path kernel's tree walk over a CSR of the MST,
-   rows in chunks over the pool (deterministic: each row is an
-   independent boolean). *)
+(* The minimum spanning tree of the complete distance graph (Prim,
+   O(n^2), {!Metric.mst_parent}) is, on a genuine tree metric, the
+   underlying tree. Check that summing its edges along tree paths
+   reproduces the whole matrix: the shortest-path kernel's tree walk
+   over a CSR of the MST, rows in chunks over the pool (deterministic:
+   each row is an independent boolean). *)
 let is_tree_metric ?pool metric =
   let n = Metric.size metric in
   if n <= 2 then true
   else begin
     let pool = match pool with Some p -> p | None -> Qp_par.Pool.default () in
-    let parent = mst_parent metric in
+    let parent = Metric.mst_parent metric in
     let edge i = (i + 1, parent.(i + 1), Metric.dist metric parent.(i + 1) (i + 1)) in
     let mst = Qp_graph.Dijkstra.csr_of_edges n (Array.init (n - 1) edge) in
     fst
       (Qp_graph.Dijkstra.rows pool mst (fun s dist ->
-           let ok = ref true in
-           for v = 0 to n - 1 do
-             let dm = Metric.unsafe_dist metric s v in
-             if Float.abs (dist.(v) -. dm) > verify_tol *. Float.max 1. dm then
-               ok := false
-           done;
-           !ok))
+           Metric.row_agrees metric s dist ~tol:verify_tol))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -115,16 +80,13 @@ type result = {
    a negligible slice instead of arbitrarily. *)
 let deadline_poll_mask = 1024 - 1
 
-let solve ?pool ?node_budget (p : Problem.qpp) =
+(* The branch-and-bound over a verified tree metric: the best
+   placement, the search nodes expanded and the two-center costs
+   evaluated. *)
+let search ?node_budget (p : Problem.qpp) =
   let metric = p.Problem.metric in
   let n = Metric.size metric in
   let nu = Quorum.universe p.Problem.system in
-  Qp_lp.Cancel.check_deadline ();
-  if not (is_tree_metric ?pool metric) then
-    raise
-      (Qp_error.Error
-         (Qp_error.Invalid_instance
-            "tree solver: the instance metric is not a tree metric"));
   let quorums = Quorum.quorums p.Problem.system in
   let nq = Array.length quorums in
   let weights = p.Problem.strategy in
@@ -133,35 +95,30 @@ let solve ?pool ?node_budget (p : Problem.qpp) =
     | Some r -> (r, Array.fold_left ( +. ) 0. r)
     | None -> (Array.make n 1., float_of_int n)
   in
-  (* Lazy weighted two-center costs M(a,b), keyed min*n+max. *)
+  (* Weighted two-center costs M(a,b): the one-center costs A(v) =
+     M(v,v) up front, the others lazily, keyed min*n+max. *)
+  let cost a b = Metric.weighted_max_sum metric rates a b /. total_rate in
+  let one_center = Array.init n (fun v -> cost v v) in
   let m_memo : (int, float) Hashtbl.t = Hashtbl.create 256 in
   let two_center a b =
-    let key = if a <= b then (a * n) + b else (b * n) + a in
-    match Hashtbl.find_opt m_memo key with
-    | Some v -> v
-    | None ->
-        let acc = ref 0. in
-        for v = 0 to n - 1 do
-          if rates.(v) > 0. then
-            acc :=
-              !acc
-              +. rates.(v)
-                 *. Float.max
-                      (Metric.unsafe_dist metric v a)
-                      (Metric.unsafe_dist metric v b)
-        done;
-        let m = !acc /. total_rate in
-        Hashtbl.add m_memo key m;
-        m
+    if a = b then one_center.(a)
+    else begin
+      let key = if a < b then (a * n) + b else (b * n) + a in
+      match Hashtbl.find_opt m_memo key with
+      | Some v -> v
+      | None ->
+          let m = cost a b in
+          Hashtbl.add m_memo key m;
+          m
+    end
   in
-  let one_center v = two_center v v in
   (* Nodes in increasing one-center cost: good solutions appear early
      and the A-monotone loop break applies. Deterministic tie-break on
      id. *)
   let node_order = Array.init n (fun i -> i) in
   Array.sort
     (fun a b ->
-      let c = compare (one_center a) (one_center b) in
+      let c = compare one_center.(a) one_center.(b) in
       if c <> 0 then c else compare a b)
     node_order;
   (* Elements by decreasing total quorum probability: the heaviest
@@ -234,7 +191,7 @@ let solve ?pool ?node_budget (p : Problem.qpp) =
       (try
          Array.iter
            (fun v ->
-             if elem_weight.(u) > 0. && optimistic (one_center v) >= !best_val
+             if elem_weight.(u) > 0. && optimistic one_center.(v) >= !best_val
              then raise Exit (* A-monotone: every later node is no better *)
              else if node_load.(v) +. loads.(u) <= p.Problem.capacities.(v) +. 1e-9
              then begin
@@ -283,13 +240,23 @@ let solve ?pool ?node_budget (p : Problem.qpp) =
     end
   in
   go 0;
-  match !best_f with
-  | None -> None
-  | Some placement ->
-      Some
-        {
-          placement;
-          objective = Delay.avg_max_delay p placement;
-          search_nodes = !search_nodes;
-          m_pairs = Hashtbl.length m_memo;
-        }
+  let m_pairs = n + Hashtbl.length m_memo in
+  Obs.Span.add_attr "search_nodes" (Obs.Json.Int !search_nodes);
+  Obs.Span.add_attr "m_pairs" (Obs.Json.Int m_pairs);
+  (!best_f, !search_nodes, m_pairs)
+
+let solve ?pool ?node_budget (p : Problem.qpp) =
+  Qp_lp.Cancel.check_deadline ();
+  if not (Obs.Span.with_ "tree_check" (fun () -> is_tree_metric ?pool p.Problem.metric))
+  then
+    raise
+      (Qp_error.Error
+         (Qp_error.Invalid_instance
+            "tree solver: the instance metric is not a tree metric"));
+  let best_f, search_nodes, m_pairs =
+    Obs.Span.with_ "tree_search" (fun () -> search ?node_budget p)
+  in
+  Option.map
+    (fun placement ->
+      { placement; objective = Delay.avg_max_delay p placement; search_nodes; m_pairs })
+    best_f

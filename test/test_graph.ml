@@ -291,11 +291,23 @@ let test_metric_of_graph_triangle () =
     Alcotest.(check bool) "triangle holds" true (Metric.check_triangle m = None)
   done
 
+(* Connectivity is read off the APSP result, cached or not, whichever
+   component vertex 0 lies in, also with n - 1 edges (a triangle plus
+   an isolated vertex, where the row kernel runs the heap). *)
 let test_metric_rejects_disconnected () =
+  let raises ?cache g =
+    Alcotest.check_raises "disconnected"
+      (Invalid_argument "Metric.of_graph: disconnected graph") (fun () ->
+        ignore (Metric.of_graph ?cache g))
+  in
   let g = Graph.create 3 in
   Graph.add_edge g 0 1 1.0;
-  Alcotest.check_raises "disconnected" (Invalid_argument "Metric.of_graph: disconnected graph")
-    (fun () -> ignore (Metric.of_graph g))
+  raises g;
+  raises ~cache:false g;
+  let isolated_0 = Graph.of_edges 3 [ (1, 2, 1.0) ] in
+  raises isolated_0;
+  raises ~cache:false isolated_0;
+  raises (Graph.of_edges 4 [ (1, 2, 1.0); (2, 3, 1.0); (1, 3, 1.0) ])
 
 let test_metric_of_matrix_validation () =
   Alcotest.check_raises "asymmetric" (Invalid_argument "Metric.of_matrix: not symmetric")

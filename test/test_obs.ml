@@ -602,21 +602,20 @@ let test_wide_sink_atomic_from_pool () =
   let seen = List.sort compare (List.map (get_int "i") wides) in
   Alcotest.(check bool) "every index once" true (seen = List.init n Fun.id)
 
+(* JSONL files that dune rules write beside the test runner. *)
+let read_jsonl name =
+  let path = List.find Sys.file_exists [ name; "_build/default/test/" ^ name ] in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+  |> List.map Json.of_string
+
 (* `qplace churn --trace` (a dune rule writes churn_trace.jsonl beside
    the test runner): the lp solve of the run_lp prelude shared by
    simulate, faults, resilience and churn runs under a "solve" span, as
    `qplace solve` does, so no qpp_solve span is a root of the trace. *)
 let test_churn_trace_solve_has_parent () =
-  let path =
-    List.find Sys.file_exists
-      [ "churn_trace.jsonl"; "_build/default/test/churn_trace.jsonl" ]
-  in
-  let records =
-    In_channel.with_open_text path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-    |> List.map Json.of_string
-  in
+  let records = read_jsonl "churn_trace.jsonl" in
   let named name j =
     Json.member "type" j = Some (Json.String "span")
     && Json.member "name" j = Some (Json.String name)
@@ -630,6 +629,41 @@ let test_churn_trace_solve_has_parent () =
     solves;
   Alcotest.(check bool) "the prelude solve is under a solve span" true
     (List.exists (named "solve") records)
+
+(* `qplace solve --alg auto` on a tree (a dune rule writes
+   tree_wide.jsonl and tree_trace.jsonl beside the test runner): the
+   tree solver's check and search are spans, so the wide record splits
+   the solve into them, and the search span carries its work counts
+   (the values of the pinned golden solve_tree.json detail). *)
+
+let test_tree_solve_phases () =
+  let wides =
+    List.filter
+      (fun j -> Json.member "type" j = Some (Json.String "wide"))
+      (read_jsonl "tree_wide.jsonl")
+  in
+  Alcotest.(check int) "one solve record" 1 (List.length wides);
+  let phases =
+    match Json.member "phases" (List.hd wides) with
+    | Some (Json.Obj kvs) -> List.map fst kvs
+    | _ -> []
+  in
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " is a phase") true (List.mem k phases))
+    [ "build"; "solve"; "solve.tree_check"; "solve.tree_search" ];
+  let search =
+    List.filter
+      (fun j -> Json.member "name" j = Some (Json.String "tree_search"))
+      (read_jsonl "tree_trace.jsonl")
+  in
+  Alcotest.(check int) "one tree_search span" 1 (List.length search);
+  let attr k =
+    match Json.member "attrs" (List.hd search) with
+    | Some a -> Json.member k a
+    | None -> None
+  in
+  Alcotest.(check bool) "search_nodes" true (attr "search_nodes" = Some (Json.Int 87));
+  Alcotest.(check bool) "m_pairs" true (attr "m_pairs" = Some (Json.Int 91))
 
 let suites =
   [
@@ -669,6 +703,8 @@ let suites =
         Alcotest.test_case "no sink reads no clock" `Quick
           test_span_no_sink_reads_no_clock;
         Alcotest.test_case "fresh trace ids" `Quick test_wide_fresh_trace_ids;
+        Alcotest.test_case "tree solve splits into check and search" `Quick
+          test_tree_solve_phases;
       ] );
     ( "obs.slo",
       [

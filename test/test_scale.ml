@@ -357,12 +357,235 @@ let prop_tree_check_exact =
               && not (Tree_place.is_tree_metric ~pool perturbed)))
         [ 1; 3 ])
 
+(* ------------------------------------------------------------------ *)
+(* Metric scans = the per-entry loops they replace                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference copies of the loops that ran one [Metric.dist] call per
+   entry in Metric.of_matrix, Problem validation and the tree solver
+   before those scans moved into Metric as flat loops. Each scan must
+   give the same message, parents, verdict or float bits. *)
+
+exception Refused of string
+
+let old_of_matrix_check d =
+  let n = Array.length d in
+  try
+    for i = 0 to n - 1 do
+      if d.(i).(i) <> 0. then raise (Refused "Metric.of_matrix: non-zero diagonal");
+      for j = 0 to n - 1 do
+        if not (Float.is_finite d.(i).(j)) then
+          raise (Refused "Metric.of_matrix: non-finite distance");
+        if d.(i).(j) < 0. then raise (Refused "Metric.of_matrix: negative distance");
+        if not (Qp_util.Floatx.approx d.(i).(j) d.(j).(i)) then
+          raise (Refused "Metric.of_matrix: not symmetric")
+      done
+    done;
+    None
+  with Refused msg -> Some msg
+
+let old_problem_check metric =
+  let n = Metric.size metric in
+  try
+    for i = 0 to n - 1 do
+      if not (Float.is_finite (Metric.dist metric i i)) then
+        raise (Refused "Problem: non-finite metric entry");
+      if Metric.dist metric i i <> 0. then
+        raise (Refused "Problem: metric diagonal must be zero");
+      for j = i + 1 to n - 1 do
+        let d = Metric.dist metric i j in
+        if not (Float.is_finite d) then raise (Refused "Problem: non-finite metric entry");
+        if d < 0. then raise (Refused "Problem: negative metric entry");
+        if not (Qp_util.Floatx.approx d (Metric.dist metric j i)) then
+          raise (Refused "Problem: metric must be symmetric")
+      done
+    done;
+    None
+  with Refused msg -> Some msg
+
+let old_mst_parent metric =
+  let n = Metric.size metric in
+  let parent = Array.make n (-1) in
+  let in_tree = Array.make n false in
+  let best = Array.make n infinity in
+  let best_from = Array.make n (-1) in
+  in_tree.(0) <- true;
+  for v = 1 to n - 1 do
+    best.(v) <- Metric.dist metric 0 v;
+    best_from.(v) <- 0
+  done;
+  for _ = 1 to n - 1 do
+    let u = ref (-1) in
+    for v = 0 to n - 1 do
+      if (not in_tree.(v)) && (!u < 0 || best.(v) < best.(!u)) then u := v
+    done;
+    let u = !u in
+    in_tree.(u) <- true;
+    parent.(u) <- best_from.(u);
+    for v = 0 to n - 1 do
+      if not in_tree.(v) then begin
+        let d = Metric.unsafe_dist metric u v in
+        if d < best.(v) then begin
+          best.(v) <- d;
+          best_from.(v) <- u
+        end
+      end
+    done
+  done;
+  parent
+
+let old_is_tree_metric metric =
+  let n = Metric.size metric in
+  if n <= 2 then true
+  else begin
+    let parent = old_mst_parent metric in
+    let edge i = (i + 1, parent.(i + 1), Metric.dist metric parent.(i + 1) (i + 1)) in
+    let mst = Qp_graph.Dijkstra.csr_of_edges n (Array.init (n - 1) edge) in
+    fst
+      (Qp_graph.Dijkstra.rows (Qp_par.Pool.default ()) mst (fun s dist ->
+           let ok = ref true in
+           for v = 0 to n - 1 do
+             let dm = Metric.unsafe_dist metric s v in
+             if Float.abs (dist.(v) -. dm) > 1e-6 *. Float.max 1. dm then
+               ok := false
+           done;
+           !ok))
+  end
+
+let old_two_center_sum metric rates a b =
+  let acc = ref 0. in
+  for v = 0 to Metric.size metric - 1 do
+    if rates.(v) > 0. then
+      acc :=
+        !acc
+        +. rates.(v)
+           *. Float.max (Metric.unsafe_dist metric v a) (Metric.unsafe_dist metric v b)
+  done;
+  !acc
+
+let refusal f = match f () with _ -> None | exception Invalid_argument m -> Some m
+
+(* A symmetric matrix with a zero diagonal — small integers (ties,
+   zero distances) or floats, sometimes off symmetry by a relative
+   1e-12 — with up to three entries, diagonal ones included, replaced
+   by NaN, an infinity, a large or tiny negative, an asymmetric value,
+   a value within the symmetry tolerance, or a non-zero diagonal. *)
+let defective_matrix rng =
+  let n = 1 + Rng.int rng 7 in
+  let ints = Rng.bool rng in
+  let d = Array.make_matrix n n 0. in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let x = if ints then float_of_int (Rng.int rng 4) else Rng.float rng 10. in
+      d.(i).(j) <- x;
+      d.(j).(i) <- (if Rng.int rng 4 = 0 then x *. (1. +. 1e-12) else x)
+    done
+  done;
+  for _ = 1 to Rng.int rng 4 do
+    let i = Rng.int rng n and j = Rng.int rng n in
+    d.(i).(j) <-
+      (match Rng.int rng 8 with
+      | 0 -> Float.nan
+      | 1 -> Float.infinity
+      | 2 -> Float.neg_infinity
+      | 3 -> -1. -. Rng.float rng 5.
+      | 4 -> -1e-12
+      | 5 -> d.(i).(j) +. 1.
+      | 6 -> d.(i).(j) *. (1. +. 1e-10)
+      | _ -> 0.5)
+  done;
+  d
+
+let prop_entry_check_as_before =
+  QCheck.Test.make ~name:"Metric.first_defect = the old of_matrix and Problem loops"
+    ~count:1000 QCheck.int (fun seed ->
+      let d = defective_matrix (Rng.create seed) in
+      let n = Array.length d in
+      let system = Qp_quorum.Simple_qs.triangle () in
+      let unchecked = Metric.of_matrix_unchecked d in
+      refusal (fun () -> Metric.of_matrix d) = old_of_matrix_check d
+      && refusal (fun () ->
+             Problem.make_qpp ~metric:unchecked ~capacities:(Array.make n 1.) ~system
+               ~strategy:(Qp_quorum.Strategy.uniform system) ())
+         = old_problem_check unchecked)
+
+(* Prim's tie rule matters off trees: integer lengths make many
+   equal keys. *)
+let prop_mst_parent_as_before =
+  QCheck.Test.make ~name:"Metric.mst_parent = the old Prim loop, ties included"
+    ~count:300 QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 30 in
+      let m =
+        match Rng.int rng 3 with
+        | 0 -> Metric.of_graph ~cache:false (Qp_graph.Generators.random_tree rng n)
+        | 1 ->
+            let g = random_connected_graph_rng rng n in
+            let g' = Graph.create n in
+            Graph.iter_edges g (fun u v _ ->
+                Graph.add_edge g' u v (float_of_int (1 + Rng.int rng 3)));
+            Metric.of_graph ~cache:false g'
+        | _ ->
+            let d = Array.make_matrix n n 0. in
+            for i = 0 to n - 1 do
+              for j = i + 1 to n - 1 do
+                d.(i).(j) <- float_of_int (Rng.int rng 3);
+                d.(j).(i) <- d.(i).(j)
+              done
+            done;
+            Metric.of_matrix d
+      in
+      Metric.mst_parent m = old_mst_parent m)
+
+(* Tree metrics, then one entry (or a symmetric pair) moved by a
+   relative 0, 4e-7, 2e-6 (either side of the 1e-6 tolerance) or 1e-3. *)
+let prop_tree_verdict_as_before =
+  QCheck.Test.make ~name:"is_tree_metric = the old row loop on trees and perturbed trees"
+    ~count:300 QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 40 in
+      let m = Metric.of_graph ~cache:false (Qp_graph.Generators.random_tree rng n) in
+      let d = Array.init n (fun a -> Array.init n (Metric.dist m a)) in
+      let i = Rng.int rng n and j = Rng.int rng n in
+      let rel = [| 0.; 4e-7; 2e-6; 1e-3 |].(Rng.int rng 4) in
+      d.(i).(j) <- d.(i).(j) +. (rel *. Float.max 1. d.(i).(j));
+      if Rng.bool rng then d.(j).(i) <- d.(i).(j);
+      let perturbed = Metric.of_matrix_unchecked d in
+      Tree_place.is_tree_metric m = old_is_tree_metric m
+      && Tree_place.is_tree_metric perturbed = old_is_tree_metric perturbed)
+
+(* Random rates, some zero, over tree metrics and over matrices a
+   relative 1e-12 off symmetry, so that summing in another order or
+   reading d(a, v) for d(v, a) changes bits. *)
+let prop_two_center_bits_as_before =
+  QCheck.Test.make ~name:"Metric.weighted_max_sum = the old two-center loop bitwise"
+    ~count:300 QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 40 in
+      let m =
+        let t = Metric.of_graph ~cache:false (Qp_graph.Generators.random_tree rng n) in
+        if Rng.bool rng then t
+        else
+          Metric.of_matrix
+            (Array.init n (fun a ->
+                 Array.init n (fun b ->
+                     let x = Metric.dist t a b in
+                     if a > b then x *. (1. +. 1e-12) else x)))
+      in
+      let rates =
+        Array.init n (fun _ -> if Rng.int rng 4 = 0 then 0. else Rng.float rng 3.)
+      in
+      let a = Rng.int rng n and b = Rng.int rng n in
+      Int64.bits_of_float (Metric.weighted_max_sum m rates a b)
+      = Int64.bits_of_float (old_two_center_sum m rates a b))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_flat_equals_boxed_dijkstra; prop_blocked_fw_equals_boxed;
       prop_blocked_fw_multiblock; prop_dijkstra_into_equals_boxed;
       prop_tree_equals_exhaustive; prop_tree_no_worse_than_lp;
-      prop_tree_check_exact ]
+      prop_tree_check_exact; prop_entry_check_as_before; prop_mst_parent_as_before;
+      prop_tree_verdict_as_before; prop_two_center_bits_as_before ]
 
 let suites =
   [
