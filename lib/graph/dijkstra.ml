@@ -1,6 +1,7 @@
 (* The flat shortest-path kernel (see the .mli): CSR adjacency in
-   [Graph] list order, an unboxed heap with [Heap]'s exact tie rules
-   (strict [<] in sift-up, the left child winning ties in sift-down),
+   [Graph] list order, an unboxed heap with the tie rules of the event
+   queue in [Qp_runtime.Event] (strict [<] in sift-up, the left child
+   winning ties in sift-down),
    and on a tree an O(n) walk, whose d(s,w) = d(s,v) + len(v,w) along
    the unique path is the very float sum Dijkstra forms. *)
 
@@ -87,7 +88,7 @@ let push sc key v =
 
 (* Drop the root; the last entry sifts down from the top, swapping
    with the smaller child while that child's key is strictly smaller
-   (the left child wins ties, as in [Heap]). *)
+   (the left child wins ties, as in [Qp_runtime.Event]'s queue). *)
 let pop sc =
   let keys = sc.keys and verts = sc.verts in
   let size = sc.size - 1 in

@@ -4,7 +4,9 @@
     runs on reusable scratch: an unboxed binary heap, or on a tree an
     O(n) walk along the unique paths. Both give the floats of a heap
     Dijkstra over {!Graph} lists: neighbours keep their list order and
-    the heap keeps {!Heap}'s tie rules, so pops and parents match too.
+    the heap keeps the tie rules documented in [Qp_runtime.Event]
+    (strict [<] in sift-up, the left child winning ties in sift-down),
+    so pops and parents match too.
     Unreachable vertices get distance [infinity]. *)
 
 type csr

@@ -185,6 +185,23 @@ let weighted_max_sum t rates a b =
   done;
   !acc
 
+(* [Float.max] and the sum in member order from 0., as the per-member
+   [dist] loops they replace, so every result is bit-identical. *)
+let quorum_delay t ~total v f q =
+  let n = t.n and d = t.d in
+  if v < 0 || v >= n then
+    invalid_arg (Printf.sprintf "Metric.quorum_delay: vertex %d out of bounds for n=%d" v n);
+  let vrow = v * n in
+  let acc = ref 0. in
+  for i = 0 to Array.length q - 1 do
+    let w = f.(q.(i)) in
+    if w < 0 || w >= n then
+      invalid_arg (Printf.sprintf "Metric.quorum_delay: node %d out of bounds for n=%d" w n);
+    let dvw = Bigarray.Array1.unsafe_get d (vrow + w) in
+    acc := if total then !acc +. dvw else Float.max !acc dvw
+  done;
+  !acc
+
 (* ------------------------------------------------------------------ *)
 (* APSP cache                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -194,8 +211,10 @@ let weighted_max_sum t rates a b =
    fingerprint-keyed cache shares the metric between them; entries
    store the [t] handle itself — one flat block per distinct topology,
    never a boxed copy — so a hit costs a Hashtbl probe and zero
-   allocation. Bounded FIFO so long-lived processes cannot grow it
-   without limit; mutex-guarded so worker domains can build metrics
+   allocation. A FIFO bounded both in entries and in bytes, so a
+   long-lived process answering a stream of distinct large instances
+   holds at most [apsp_cache_budget_bytes] of metrics it will never look up
+   again; mutex-guarded so worker domains can build metrics
    concurrently. The resident-bytes total is tracked on every
    insert/evict and mirrored into the [qp_apsp_cache_bytes] gauge.
 
@@ -215,15 +234,21 @@ type cache = {
   mutable misses : int;
   mutable partial : int;
   mutable bytes : int;
+  budget : int;
 }
 
 let cache_capacity = 16
 
-let new_cache () =
-  { entries = Hashtbl.create cache_capacity; order = Queue.create ();
-    lock = Mutex.create (); hits = 0; misses = 0; partial = 0; bytes = 0 }
+(* 256 MB: E19's whole tree series (n = 60 .. 3840, 157 MB) stays
+   resident, while two of its largest metrics (118 MB each) are about
+   as many as fit. *)
+let apsp_cache_budget_bytes = 256 * 1024 * 1024
 
-let process_cache = new_cache ()
+let new_cache budget =
+  { entries = Hashtbl.create cache_capacity; order = Queue.create ();
+    lock = Mutex.create (); hits = 0; misses = 0; partial = 0; bytes = 0; budget }
+
+let process_cache = new_cache apsp_cache_budget_bytes
 let cache_key : cache Domain.DLS.key = Domain.DLS.new_key (fun () -> process_cache)
 let current_cache () = Domain.DLS.get cache_key
 
@@ -232,7 +257,8 @@ let with_cache c f =
   Domain.DLS.set cache_key c;
   Fun.protect ~finally:(fun () -> Domain.DLS.set cache_key prev) f
 
-let with_private_apsp_cache f = with_cache (new_cache ()) f
+let with_private_apsp_cache ?(budget_bytes = apsp_cache_budget_bytes) f =
+  with_cache (new_cache budget_bytes) f
 
 let () =
   Qp_par.Pool.register_context_hook (fun () ->
@@ -262,19 +288,22 @@ let cache_peek c key =
           Some m
       | None -> None)
 
+(* A metric larger than the whole budget is not cached; otherwise the
+   oldest entries leave until the new one fits both bounds. *)
 let cache_insert c key m =
+  let bytes = entry_bytes m in
   Mutex.protect c.lock (fun () ->
-      if not (Hashtbl.mem c.entries key) then begin
-        if Hashtbl.length c.entries >= cache_capacity then begin
+      if bytes <= c.budget && not (Hashtbl.mem c.entries key) then begin
+        while Hashtbl.length c.entries >= cache_capacity || c.bytes + bytes > c.budget do
           let victim = Queue.pop c.order in
           (match Hashtbl.find_opt c.entries victim with
           | Some old -> c.bytes <- c.bytes - entry_bytes old
           | None -> ());
           Hashtbl.remove c.entries victim
-        end;
+        done;
         Hashtbl.add c.entries key m;
         Queue.push key c.order;
-        c.bytes <- c.bytes + entry_bytes m;
+        c.bytes <- c.bytes + bytes;
         publish_cache_bytes c
       end)
 

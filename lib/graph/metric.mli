@@ -67,6 +67,14 @@ val weighted_max_sum : t -> float array -> int -> int -> float
     @raise Invalid_argument unless [a] and [b] are vertices and
     [Array.length r = size m]. *)
 
+val quorum_delay : t -> total:bool -> int -> int array -> int array -> float
+(** [quorum_delay m ~total v f q] folds [dist m v f.(q.(i))] over the
+    members of [q] in index order from [0.]: their sum with
+    [~total:true], else their {!Float.max}. One loop over [v]'s row,
+    bit-identical to the per-member fold.
+    @raise Invalid_argument unless [v] and every [f.(q.(i))] are
+    vertices (and every [q.(i)] indexes [f]). *)
+
 val of_graph : ?cache:bool -> Graph.t -> t
 (** Shortest-path metric of a connected graph. Sparse graphs run
     Dijkstra from every vertex, fanned out over
@@ -95,12 +103,20 @@ val of_graph_delta : ?cache:bool -> base:t -> base_graph:Graph.t -> Graph.t -> t
     invalidations in {!apsp_cache_stats} rather than full misses.
     @raise Invalid_argument if [g] is disconnected. *)
 
-val with_private_apsp_cache : (unit -> 'a) -> 'a
+val apsp_cache_budget_bytes : int
+(** Bytes of distance data an APSP cache holds at most (256 MB), beside
+    its bound of 16 entries: inserting a metric evicts the oldest
+    entries until both bounds hold, and a metric larger than the budget
+    is returned uncached. *)
+
+val with_private_apsp_cache : ?budget_bytes:int -> (unit -> 'a) -> 'a
 (** [with_private_apsp_cache f] runs [f] with a fresh, empty APSP cache
     in place of the process-wide one, also in the pool tasks [f]
     submits; the cache functions below act on the cache in scope. Its
     hits, misses and resident metrics then depend on [f] alone, not on
-    what ran before or beside it. *)
+    what ran before or beside it. [budget_bytes] (default
+    {!apsp_cache_budget_bytes}) bounds its resident bytes, so tests can
+    exercise the byte bound with small metrics. *)
 
 val apsp_cache_stats : unit -> int * int * int
 (** [(hits, misses, partial)] of the {!of_graph} APSP cache since start

@@ -1,24 +1,16 @@
 module Metric = Qp_graph.Metric
 module Quorum = Qp_quorum.Quorum
 
-(* Plain loops in the order of the folds they replace (left to right,
-   starting from 0.), so every sum and max is bit-identical; no closure
-   or boxed accumulator per quorum or element. *)
+(* One [Metric] row loop per quorum, in the order of the folds it
+   replaces (left to right, starting from 0.), so every sum and max is
+   bit-identical. *)
 let quorum_max_delay (p : Problem.qpp) f v qi =
-  let q = Quorum.quorum p.Problem.system qi and m = p.Problem.metric in
-  let acc = ref 0. in
-  for i = 0 to Array.length q - 1 do
-    acc := Float.max !acc (Metric.dist m v f.(q.(i)))
-  done;
-  !acc
+  Metric.quorum_delay p.Problem.metric ~total:false v f
+    (Quorum.quorum p.Problem.system qi)
 
 let quorum_total_delay (p : Problem.qpp) f v qi =
-  let q = Quorum.quorum p.Problem.system qi and m = p.Problem.metric in
-  let acc = ref 0. in
-  for i = 0 to Array.length q - 1 do
-    acc := !acc +. Metric.dist m v f.(q.(i))
-  done;
-  !acc
+  Metric.quorum_delay p.Problem.metric ~total:true v f
+    (Quorum.quorum p.Problem.system qi)
 
 (* Sum over quorums of p(Q) times the per-quorum delay, skipping
    zero-probability quorums. [total] picks gamma over delta. *)

@@ -1,10 +1,15 @@
 (** Minimal discrete-event simulation engine.
 
     Events are closures scheduled at absolute times; the engine pops
-    them in time order and runs them. Among equal timestamps the order
-    is fixed by {!Qp_graph.Heap}'s tie rules, so it is deterministic,
-    and with it the order of every random draw a handler makes. Event
-    handlers may schedule further events.
+    them in time order and runs them. Event handlers may schedule
+    further events.
+
+    The queue is a binary min-heap with hole-moving sifts. Its tie
+    rules fix the order among equal timestamps, and with it the order
+    of every random draw a handler makes: sift-up moves an event past
+    its parent only on a strictly earlier time, and sift-down moves the
+    earlier child up, the left child winning equal times.
+    {!Qp_graph.Dijkstra} keeps the same rules for its vertex heap.
 
     This is the substrate shared by the access simulator
     ({!Qp_sim.Access_sim}) and the resilience {!Engine}, which also
@@ -19,7 +24,8 @@ val now : t -> float
 
 val schedule : t -> float -> (t -> unit) -> unit
 (** [schedule sim time handler] enqueues an event; [time] must not
-    precede the current clock. @raise Invalid_argument otherwise. *)
+    precede the current clock by more than 1e-12 and must not be NaN.
+    @raise Invalid_argument otherwise. *)
 
 val schedule_in : t -> float -> (t -> unit) -> unit
 (** Relative variant: [schedule_in sim dt h = schedule sim (now + dt) h]. *)

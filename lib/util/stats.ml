@@ -33,6 +33,71 @@ let check_finite name xs =
         invalid_arg ("Stats." ^ name ^ ": non-finite input"))
     xs
 
+(* Stdlib's [Array.sort Float.compare] (a ternary heap sort) on a
+   float array: the same comparisons in the same order, so the same
+   permutation, with -0. and 0. equal and NaN below every number. The
+   stdlib's recursive helpers and [Bottom] exception become loops here
+   (a maxson of -1 is [Bottom]), so the elements stay unboxed and no
+   comparison closure runs. *)
+let[@inline] before (x : float) y = x < y || (x <> x && y = y)
+
+let maxson (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if before a.(i31) a.(i31 + 1) then i31 + 1 else i31 in
+    if before a.(x) a.(i31 + 2) then i31 + 2 else x
+  end
+  else if i31 + 1 < l && before a.(i31) a.(i31 + 1) then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let sort (a : float array) =
+  let l = Array.length a in
+  (* trickle: sift a.(i) down the heap of the first l elements. *)
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    let e = a.(i) in
+    let i = ref i and j = ref (maxson a l i) in
+    while !j >= 0 && before e a.(!j) do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson a l !j
+    done;
+    a.(!i) <- e
+  done;
+  for top = l - 1 downto 2 do
+    let e = a.(top) in
+    a.(top) <- a.(0);
+    (* bubble: move the hole at the root down to a leaf ... *)
+    let i = ref 0 and j = ref (maxson a top 0) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson a top !j
+    done;
+    (* ... and trickleup: let e rise from there. *)
+    let moving = ref true in
+    while !moving do
+      let father = (!i - 1) / 3 in
+      if before a.(father) e then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          moving := false
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        moving := false
+      end
+    done
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 (* [sorted] must already be sorted ascending (all elements finite). *)
 let percentile_of_sorted sorted q =
   if q < 0. || q > 100. then invalid_arg "Stats.percentile: q out of range";
@@ -49,7 +114,7 @@ let percentile xs q =
   check "percentile" xs;
   check_finite "percentile" xs;
   let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  sort sorted;
   percentile_of_sorted sorted q
 
 let median xs = percentile xs 50.
@@ -68,7 +133,7 @@ let summarize xs =
   check "summarize" xs;
   check_finite "summarize" xs;
   let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  sort sorted;
   {
     n = Array.length sorted;
     mean = mean sorted;
@@ -103,7 +168,7 @@ let cdf ?(quantiles = default_quantiles) xs =
   else begin
     check_finite "cdf" xs;
     let sorted = Array.copy xs in
-    Array.sort Float.compare sorted;
+    sort sorted;
     Array.to_list
       (Array.map (fun q -> (q, percentile_of_sorted sorted q)) quantiles)
   end

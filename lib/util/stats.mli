@@ -11,6 +11,12 @@ val min : float array -> float
 val max : float array -> float
 val sum : float array -> float
 
+val sort : float array -> unit
+(** Sorts in place, ascending, into the same permutation as
+    [Array.sort Float.compare] (the same ternary heap sort, with
+    -0. and 0. equal and NaN first), without boxing an element or
+    calling a comparison closure. *)
+
 val percentile : float array -> float -> float
 (** [percentile xs q] with [q] in [\[0,100\]]; linear interpolation
     between order statistics (total order via [Float.compare]). Input

@@ -4,40 +4,6 @@ module Rng = Qp_util.Rng
 let check_float = Alcotest.(check (float 1e-9))
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_order () =
-  let h = Heap.create () in
-  let rng = Rng.create 1 in
-  let xs = Array.init 500 (fun _ -> Rng.uniform rng) in
-  Array.iter (fun x -> Heap.push h x x) xs;
-  let prev = ref neg_infinity in
-  let count = ref 0 in
-  while not (Heap.is_empty h) do
-    let k = Heap.min_key h in
-    let v = Heap.pop h in
-    check_float "key = value" k v;
-    Alcotest.(check bool) "nondecreasing" true (k >= !prev);
-    prev := k;
-    incr count
-  done;
-  Alcotest.(check int) "drained all" 500 !count
-
-let test_heap_empty () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty heap") (fun () ->
-      ignore (Heap.pop h));
-  Alcotest.check_raises "min_key empty" (Invalid_argument "Heap.min_key: empty heap")
-    (fun () -> ignore (Heap.min_key h));
-  Heap.push h 1.0 "a";
-  Alcotest.(check bool) "nonempty" false (Heap.is_empty h);
-  Alcotest.(check bool) "peek" true (Heap.min_key h = 1.0 && Heap.size h = 1);
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
-(* ------------------------------------------------------------------ *)
 (* Graph                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -178,28 +144,95 @@ let textbook_dijkstra g src =
   done;
   dist
 
-(* The pre-kernel Dijkstra on the generic [Heap] and [Graph] lists:
-   the flat heap must reproduce its pop order, hence its parents, also
+(* A plain swap-based binary heap with the kernel's tie rules (strict
+   [<] in sift-up, the left child winning ties in sift-down): the queue
+   of the reference Dijkstra below. *)
+module Swap_heap = struct
+  type 'a t = { mutable keys : float array; mutable vals : 'a option array; mutable len : int }
+
+  let create () = { keys = Array.make 16 0.; vals = Array.make 16 None; len = 0 }
+
+  let swap t i j =
+    let k = t.keys.(i) in
+    t.keys.(i) <- t.keys.(j);
+    t.keys.(j) <- k;
+    let v = t.vals.(i) in
+    t.vals.(i) <- t.vals.(j);
+    t.vals.(j) <- v
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.keys.(i) < t.keys.(parent) then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.len && t.keys.(l) < t.keys.(!smallest) then smallest := l;
+    if r < t.len && t.keys.(r) < t.keys.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let push t key v =
+    if t.len = Array.length t.keys then begin
+      let cap = 2 * t.len in
+      let keys = Array.make cap 0. and vals = Array.make cap None in
+      Array.blit t.keys 0 keys 0 t.len;
+      Array.blit t.vals 0 vals 0 t.len;
+      t.keys <- keys;
+      t.vals <- vals
+    end;
+    t.keys.(t.len) <- key;
+    t.vals.(t.len) <- Some v;
+    t.len <- t.len + 1;
+    sift_up t (t.len - 1)
+
+  let pop_min t =
+    if t.len = 0 then None
+    else begin
+      let result = match t.vals.(0) with Some v -> Some (t.keys.(0), v) | None -> assert false in
+      t.len <- t.len - 1;
+      if t.len > 0 then begin
+        t.keys.(0) <- t.keys.(t.len);
+        t.vals.(0) <- t.vals.(t.len)
+      end;
+      t.vals.(t.len) <- None;
+      sift_down t 0;
+      result
+    end
+end
+
+(* The pre-kernel Dijkstra on a generic heap and [Graph] lists: the
+   flat kernel must reproduce its pop order, hence its parents, also
    among the many equal keys of unit-length graphs. *)
 let heap_dijkstra g src =
   let n = Graph.n_vertices g in
   let dist = Array.make n infinity and parent = Array.make n (-1) in
-  let settled = Array.make n false and heap = Heap.create () in
+  let settled = Array.make n false and heap = Swap_heap.create () in
   dist.(src) <- 0.;
-  Heap.push heap 0. src;
-  while not (Heap.is_empty heap) do
-    let d = Heap.min_key heap in
-    let v = Heap.pop heap in
-    if not settled.(v) then begin
-      settled.(v) <- true;
-      Graph.iter_neighbors g v (fun w len ->
-          if d +. len < dist.(w) then begin
-            dist.(w) <- d +. len;
-            parent.(w) <- v;
-            Heap.push heap (d +. len) w
-          end)
-    end
-  done;
+  Swap_heap.push heap 0. src;
+  let rec drain () =
+    match Swap_heap.pop_min heap with
+    | None -> ()
+    | Some (d, v) ->
+        if not settled.(v) then begin
+          settled.(v) <- true;
+          Graph.iter_neighbors g v (fun w len ->
+              if d +. len < dist.(w) then begin
+                dist.(w) <- d +. len;
+                parent.(w) <- v;
+                Swap_heap.push heap (d +. len) w
+              end)
+        end;
+        drain ()
+  in
+  drain ();
   (dist, parent)
 
 let test_parents_match_heap_dijkstra () =
@@ -440,115 +473,6 @@ let prop_dijkstra_triangle =
       let g = random_connected_graph seed n in
       Metric.check_triangle (Metric.of_graph g) = None)
 
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:100
-    QCheck.(list (float_range 0. 1000.))
-    (fun xs ->
-      let h = Heap.create () in
-      List.iter (fun x -> Heap.push h x ()) xs;
-      let rec drain acc =
-        if Heap.is_empty h then List.rev acc
-        else
-          let k = Heap.min_key h in
-          Heap.pop h;
-          drain (k :: acc)
-      in
-      let drained = drain [] in
-      drained = List.sort compare xs)
-
-(* The option-boxed, swap-based heap the flat [Heap] replaced, kept as
-   the oracle for its tie rules: strict [<] in sift-up, the left child
-   winning ties in sift-down. *)
-module Old_heap = struct
-  type 'a t = { mutable keys : float array; mutable vals : 'a option array; mutable len : int }
-
-  let create () = { keys = Array.make 16 0.; vals = Array.make 16 None; len = 0 }
-
-  let swap t i j =
-    let k = t.keys.(i) in
-    t.keys.(i) <- t.keys.(j);
-    t.keys.(j) <- k;
-    let v = t.vals.(i) in
-    t.vals.(i) <- t.vals.(j);
-    t.vals.(j) <- v
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if t.keys.(i) < t.keys.(parent) then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.len && t.keys.(l) < t.keys.(!smallest) then smallest := l;
-    if r < t.len && t.keys.(r) < t.keys.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
-
-  let push t key v =
-    if t.len = Array.length t.keys then begin
-      let cap = 2 * t.len in
-      let keys = Array.make cap 0. and vals = Array.make cap None in
-      Array.blit t.keys 0 keys 0 t.len;
-      Array.blit t.vals 0 vals 0 t.len;
-      t.keys <- keys;
-      t.vals <- vals
-    end;
-    t.keys.(t.len) <- key;
-    t.vals.(t.len) <- Some v;
-    t.len <- t.len + 1;
-    sift_up t (t.len - 1)
-
-  let pop_min t =
-    if t.len = 0 then None
-    else begin
-      let result = match t.vals.(0) with Some v -> Some (t.keys.(0), v) | None -> assert false in
-      t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.keys.(0) <- t.keys.(t.len);
-        t.vals.(0) <- t.vals.(t.len)
-      end;
-      t.vals.(t.len) <- None;
-      sift_down t 0;
-      result
-    end
-end
-
-(* Interleaved pushes (keys from a four-value set, so ties dominate,
-   payloads numbering the pushes) and pops, then a full drain: the flat
-   heap pops exactly the old heap's (key, payload) sequence. *)
-let prop_heap_matches_old_heap =
-  QCheck.Test.make ~name:"heap pops in the old heap's order" ~count:300
-    QCheck.(list (option (int_range 0 3)))
-    (fun ops ->
-      let h = Heap.create () and o = Old_heap.create () in
-      let pop_new () =
-        if Heap.is_empty h then None
-        else
-          let k = Heap.min_key h in
-          Some (k, Heap.pop h)
-      in
-      let next = ref 0 and same = ref true in
-      List.iter
-        (function
-          | Some k ->
-              let key = float_of_int k /. 2. in
-              Heap.push h key !next;
-              Old_heap.push o key !next;
-              incr next
-          | None -> if pop_new () <> Old_heap.pop_min o then same := false)
-        ops;
-      while not (Heap.is_empty h) do
-        if pop_new () <> Old_heap.pop_min o then same := false
-      done;
-      !same && Old_heap.pop_min o = None)
-
 let prop_mst_weight_leq_any_spanning_subgraph =
   QCheck.Test.make ~name:"MST weight <= path-tree weight" ~count:30
     QCheck.(pair small_int (int_range 3 15))
@@ -567,16 +491,11 @@ let prop_mst_weight_leq_any_spanning_subgraph =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_dijkstra_triangle; prop_heap_sorts; prop_mst_weight_leq_any_spanning_subgraph;
-      prop_metric_equals_textbook; prop_heap_matches_old_heap ]
+    [ prop_dijkstra_triangle; prop_mst_weight_leq_any_spanning_subgraph;
+      prop_metric_equals_textbook ]
 
 let suites =
   [
-    ( "graph.heap",
-      [
-        Alcotest.test_case "sorted drain" `Quick test_heap_order;
-        Alcotest.test_case "empty behaviour" `Quick test_heap_empty;
-      ] );
     ( "graph.core",
       [
         Alcotest.test_case "basic" `Quick test_graph_basic;

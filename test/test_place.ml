@@ -433,10 +433,60 @@ let prop_shared_blocks_identical =
       && (List.length distinct > 1 || n_blocks = 1)
       && (seed mod 2 = 0 || n_blocks > 0))
 
+(* The per-member loops [Delay] ran before the [Metric] kernel: fold
+   [Metric.dist] over the quorum from 0. *)
+let member_loop m ~total v f q =
+  let acc = ref 0. in
+  for i = 0 to Array.length q - 1 do
+    let d = Metric.dist m v f.(q.(i)) in
+    acc := if total then !acc +. d else Float.max !acc d
+  done;
+  !acc
+
+(* [Metric.quorum_delay] against [member_loop], bit for bit, on raw
+   matrices with signed zeros, NaNs of two payloads, infinity and ties,
+   quorums with
+   repeated members, and vertex or node ids one past either end: both
+   must then raise [Invalid_argument]. *)
+let prop_quorum_delay_matches_member_loop =
+  let entry =
+    QCheck.Gen.(
+      frequency
+        [ (4, float_range 0. 10.); (2, oneofl [ 0.; -0.; 1.; 2.5 ]);
+          ( 3,
+            oneofl
+              [ nan; Int64.float_of_bits 0x7ff8000000000002L;
+                Int64.float_of_bits 0xfff8000000000000L; infinity; 5e-324 ] ) ])
+  in
+  (* Mostly a vertex, sometimes one past either end. *)
+  let vertex n = QCheck.Gen.(frequency [ (9, int_range 0 (n - 1)); (1, oneofl [ -1; n ]) ]) in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun n ->
+      int_range 1 5 >>= fun u ->
+      array_repeat n (array_repeat n entry) >>= fun rows ->
+      array_repeat u (vertex n) >>= fun f ->
+      array_size (int_range 0 7) (int_range 0 (u - 1)) >>= fun q ->
+      vertex n >>= fun v -> return (rows, f, q, v))
+  in
+  QCheck.Test.make ~name:"quorum_delay = per-member loop" ~count:500 (QCheck.make gen)
+    (fun (rows, f, q, v) ->
+      let m = Metric.of_matrix_unchecked rows in
+      let run g = try Ok (Int64.bits_of_float (g ())) with Invalid_argument _ -> Error () in
+      let in_range x = x >= 0 && x < Array.length rows in
+      List.for_all
+        (fun total ->
+          let ours = run (fun () -> Metric.quorum_delay m ~total v f q)
+          and theirs = run (fun () -> member_loop m ~total v f q) in
+          (* An out-of-range [v] with an empty quorum: the kernel checks
+             [v] up front, the loop never reads it. *)
+          ours = theirs || (q = [||] && not (in_range v) && ours = Error ()))
+        [ false; true ])
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_relay_bound; prop_relay_dominates_direct; prop_local_search_never_worse;
-      prop_shared_blocks_identical ]
+      prop_shared_blocks_identical; prop_quorum_delay_matches_member_loop ]
 
 let suites =
   [

@@ -175,6 +175,40 @@ let test_apsp_cache_bytes () =
   Metric.reset_apsp_cache ();
   Alcotest.(check int) "reset zeroes the gauge" 0 (Metric.apsp_cache_bytes ())
 
+(* The byte bound: a stream of distinct builds keeps the resident
+   bytes within the budget, evicting oldest first, and a metric larger
+   than the whole budget is returned uncached. Scoped caches with small
+   budgets stand in for the 256 MB default, which the same stream only
+   approaches with metrics of thousands of nodes. *)
+let test_apsp_cache_budget () =
+  let tree seed n = Qp_graph.Generators.random_tree (Rng.create seed) n in
+  let within budget =
+    Metric.with_private_apsp_cache ~budget_bytes:budget (fun () ->
+        let ok = ref true in
+        for i = 0 to 29 do
+          let n = 20 + (i mod 7 * 5) in
+          let (_ : Metric.t) = Metric.of_graph (tree i n) in
+          if Metric.apsp_cache_bytes () > budget then ok := false
+        done;
+        let _, misses, _ = Metric.apsp_cache_stats () in
+        (!ok, misses, Metric.apsp_cache_bytes ()))
+  in
+  let ok, misses, bytes = within 40_000 in
+  Alcotest.(check bool) "small budget holds after every build" true ok;
+  Alcotest.(check int) "every build a miss" 30 misses;
+  Alcotest.(check bool) "the budget is used" true (bytes > 40_000 / 2);
+  let ok, _, _ = within Metric.apsp_cache_budget_bytes in
+  Alcotest.(check bool) "default budget holds" true ok;
+  Alcotest.(check int) "default budget is 256 MB" (256 * 1024 * 1024)
+    Metric.apsp_cache_budget_bytes;
+  Metric.with_private_apsp_cache ~budget_bytes:(8 * 30 * 30 - 1) (fun () ->
+      let g = tree 7 30 in
+      let (_ : Metric.t) = Metric.of_graph g in
+      let (_ : Metric.t) = Metric.of_graph g in
+      Alcotest.(check int) "oversized metric not cached" 0 (Metric.apsp_cache_bytes ());
+      Alcotest.(check (triple int int int)) "so both builds miss" (0, 2, 0)
+        (Metric.apsp_cache_stats ()))
+
 (* ------------------------------------------------------------------ *)
 (* Exact tree specialist and the auto dispatcher                       *)
 (* ------------------------------------------------------------------ *)
@@ -592,6 +626,7 @@ let suites =
     ( "scale.core",
       [
         Alcotest.test_case "apsp cache bytes" `Quick test_apsp_cache_bytes;
+        Alcotest.test_case "apsp cache byte budget" `Quick test_apsp_cache_budget;
         Alcotest.test_case "auto dispatches tree" `Quick
           test_auto_dispatches_tree;
         Alcotest.test_case "auto on general metric" `Quick

@@ -58,6 +58,45 @@ let test_engine_rejects_past () =
         (fun () -> Event.schedule s 1.0 (fun _ -> ())));
   Event.run sim
 
+(* The event counterparts of the unit tests of the generic heap the
+   queue replaced: 500 random times drain in order, each at its own
+   clock, and an empty queue runs nothing. *)
+let test_engine_sorted_drain () =
+  let sim = Event.create () and rng = Rng.create 1 in
+  let times = Array.init 500 (fun _ -> Rng.uniform rng) in
+  let log = ref [] in
+  Array.iter (fun x -> Event.schedule sim x (fun s -> log := (x, Event.now s) :: !log)) times;
+  Event.run sim;
+  let drained = List.rev !log in
+  Alcotest.(check bool) "clock = scheduled time" true (List.for_all (fun (x, c) -> x = c) drained);
+  Alcotest.(check (list (float 0.))) "time order"
+    (List.sort compare (Array.to_list times))
+    (List.map fst drained);
+  Alcotest.(check int) "drained all" 500 (Event.events_processed sim)
+
+let test_engine_empty () =
+  let sim = Event.create () in
+  Event.run sim;
+  Alcotest.(check int) "nothing processed" 0 (Event.events_processed sim);
+  check_float "clock at 0" 0. (Event.now sim);
+  Event.schedule sim 1. (fun _ -> ());
+  Event.run sim;
+  Event.run sim;
+  Alcotest.(check int) "one event, once" 1 (Event.events_processed sim);
+  check_float "clock at 1" 1. (Event.now sim)
+
+(* A NaN time compares false with everything: it must be refused, not
+   slipped into the heap where it would break the time order. *)
+let test_engine_rejects_nan () =
+  let sim = Event.create () in
+  let past = Invalid_argument "Event.schedule: time in the past" in
+  Alcotest.check_raises "nan time" past (fun () -> Event.schedule sim nan (fun _ -> ()));
+  Alcotest.check_raises "nan delay" past (fun () -> Event.schedule_in sim nan (fun _ -> ()));
+  let log = ref [] in
+  List.iter (fun x -> Event.schedule sim x (fun _ -> log := x :: !log)) [ 2.; 1.; 3. ];
+  Event.run sim;
+  Alcotest.(check (list (float 0.))) "queue intact" [ 1.; 2.; 3. ] (List.rev !log)
+
 (* ------------------------------------------------------------------ *)
 (* Access simulation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -334,7 +373,167 @@ let prop_calibration_matches_analytic =
       in
       report.Access_sim.analytic_delay = 0. || report.Access_sim.relative_error < 0.1)
 
-let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ prop_calibration_matches_analytic ]
+(* The event loop as it ran on a generic heap (closures in a
+   polymorphic array, a hole moved per sift level), kept as the oracle
+   for the slot-table queue's pop order: sift-up passes a parent only on
+   a strictly smaller key, sift-down moves the smaller child up, the
+   left child winning equal keys. *)
+module Ref_event = struct
+  type 'a heap = { mutable keys : float array; mutable vals : 'a array; mutable len : int }
+
+  let grow h v =
+    let cap = Stdlib.max 16 (2 * h.len) in
+    let keys = Array.make cap 0. and vals = Array.make cap v in
+    Array.blit h.keys 0 keys 0 h.len;
+    Array.blit h.vals 0 vals 0 h.len;
+    h.keys <- keys;
+    h.vals <- vals
+
+  let sift_up h i key v =
+    let i = ref i and moving = ref true in
+    while !moving && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      if key < h.keys.(parent) then begin
+        h.keys.(!i) <- h.keys.(parent);
+        h.vals.(!i) <- h.vals.(parent);
+        i := parent
+      end
+      else moving := false
+    done;
+    h.keys.(!i) <- key;
+    h.vals.(!i) <- v
+
+  let sift_down h key v =
+    let i = ref 0 and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let c = ref !i and ck = ref key in
+      if l < h.len && h.keys.(l) < !ck then begin
+        c := l;
+        ck := h.keys.(l)
+      end;
+      if r < h.len && h.keys.(r) < !ck then c := r;
+      if !c = !i then moving := false
+      else begin
+        h.keys.(!i) <- h.keys.(!c);
+        h.vals.(!i) <- h.vals.(!c);
+        i := !c
+      end
+    done;
+    h.keys.(!i) <- key;
+    h.vals.(!i) <- v
+
+  type t = { queue : (t -> unit) heap; mutable now : float; mutable processed : int;
+             mutable stopped : bool }
+
+  let create () =
+    { queue = { keys = [||]; vals = [||]; len = 0 }; now = 0.; processed = 0; stopped = false }
+
+  let now t = t.now
+  let stop t = t.stopped <- true
+  let events_processed t = t.processed
+
+  let schedule t time handler =
+    if time < t.now -. 1e-12 then invalid_arg "Event.schedule: time in the past";
+    let h = t.queue in
+    if h.len = Array.length h.keys then grow h handler;
+    h.len <- h.len + 1;
+    sift_up h (h.len - 1) time handler
+
+  let run ?(until = infinity) t =
+    t.stopped <- false;
+    let h = t.queue and past_until = ref false in
+    while not (t.stopped || !past_until || h.len = 0) do
+      let time = h.keys.(0) in
+      if time > until then past_until := true
+      else begin
+        t.now <- time;
+        let handler = h.vals.(0) in
+        let last = h.len - 1 in
+        h.len <- last;
+        if last > 0 then sift_down h h.keys.(last) h.vals.(last);
+        t.processed <- t.processed + 1;
+        handler t
+      end
+    done
+end
+
+module type QUEUE = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> float -> (t -> unit) -> unit
+  val run : ?until:float -> t -> unit
+  val stop : t -> unit
+  val events_processed : t -> int
+end
+
+(* One script run on a queue: initial events at half-unit times, each
+   handler scheduling up to two children 0, 0.5 or 1 later (so equal
+   times abound) and some calling [stop]; then a [run ~until] per
+   horizon and plain [run]s until the queue is empty. The trace lists
+   every event as (id, clock bits) and every return of [run] with the
+   processed count. *)
+let event_trace (module Q : QUEUE) (initial, acts, horizons) =
+  let acts = Array.of_list acts in
+  let sim = Q.create () and trace = ref [] and next = ref 0 in
+  let fresh () =
+    let id = !next in
+    incr next;
+    id
+  in
+  let rec handler id sim =
+    trace := (id, Int64.bits_of_float (Q.now sim)) :: !trace;
+    let children, step, stops = acts.(id mod Array.length acts) in
+    if stops then Q.stop sim;
+    for k = 1 to children do
+      if !next < 400 then
+        Q.schedule sim (Q.now sim +. (float_of_int ((step + k) mod 3) /. 2.)) (handler (fresh ()))
+    done
+  in
+  List.iter (fun t -> Q.schedule sim (float_of_int t /. 2.) (handler (fresh ()))) initial;
+  let returned () = trace := (-1, Int64.of_int (Q.events_processed sim)) :: !trace in
+  List.iter
+    (fun u ->
+      Q.run ~until:(float_of_int u /. 2.) sim;
+      returned ())
+    horizons;
+  let rec drain () =
+    let before = Q.events_processed sim in
+    Q.run sim;
+    returned ();
+    if Q.events_processed sim > before then drain ()
+  in
+  drain ();
+  List.rev !trace
+
+let prop_event_matches_reference =
+  QCheck.Test.make ~name:"event pops in the reference queue's order" ~count:300
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 40) (int_range 0 4))
+        (list_of_size Gen.(1 -- 12) (triple (int_range 0 2) (int_range 0 2) bool))
+        (list_of_size Gen.(0 -- 4) (int_range 0 12)))
+    (fun script ->
+      let (initial, acts, horizons) = script in
+      let acts = if acts = [] then [ (0, 0, false) ] else acts in
+      let script = (initial, acts, horizons) in
+      event_trace (module Event) script = event_trace (module Ref_event) script)
+
+let prop_event_drains_sorted =
+  QCheck.Test.make ~name:"event queue drains sorted" ~count:100
+    QCheck.(list (float_range 0. 1000.))
+    (fun xs ->
+      let sim = Event.create () and log = ref [] in
+      List.iter (fun x -> Event.schedule sim x (fun s -> log := Event.now s :: !log)) xs;
+      Event.run sim;
+      List.rev !log = List.sort compare xs)
+
+let qcheck_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_calibration_matches_analytic; prop_event_matches_reference; prop_event_drains_sorted ]
 
 let suites =
   [
@@ -344,6 +543,9 @@ let suites =
         Alcotest.test_case "horizon" `Quick test_engine_until;
         Alcotest.test_case "stop" `Quick test_engine_stop;
         Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
+        Alcotest.test_case "rejects nan time" `Quick test_engine_rejects_nan;
+        Alcotest.test_case "sorted drain" `Quick test_engine_sorted_drain;
+        Alcotest.test_case "empty behaviour" `Quick test_engine_empty;
       ] );
     ( "sim.access",
       [

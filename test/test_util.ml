@@ -263,6 +263,31 @@ let prop_percentile_monotone =
       let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
       Stats.percentile xs lo <= Stats.percentile xs hi +. 1e-9)
 
+(* [Stats.sort] against [Array.sort Float.compare], bit for bit, on
+   arrays full of duplicates, signed zeros, subnormals, infinities and
+   NaNs of two payloads: the same heap sort must give the same
+   permutation, so -0. and 0. land in the same places. *)
+let prop_sort_matches_stdlib =
+  let specials =
+    [ 0.; -0.; 1.; -1.; 5e-324; -5e-324; 2.2250738585072009e-308; 1e-310; -1e-310;
+      infinity; neg_infinity; nan; Int64.float_of_bits 0x7ff8000000000002L;
+      Int64.float_of_bits 0xfff8000000000000L; 3.5; 3.5 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      array_size (int_range 0 80)
+        (frequency
+           [ (3, oneofl specials); (2, map float_of_int (int_range (-3) 3));
+             (1, float_range (-1e3) 1e3) ]))
+  in
+  QCheck.Test.make ~name:"float sort = Array.sort Float.compare" ~count:500
+    (QCheck.make ~print:QCheck.Print.(array float) gen)
+    (fun xs ->
+      let ours = Array.copy xs and theirs = Array.copy xs in
+      Stats.sort ours;
+      Array.sort Float.compare theirs;
+      Array.map Int64.bits_of_float ours = Array.map Int64.bits_of_float theirs)
+
 let prop_online_merge_matches_single_stream =
   QCheck.Test.make ~name:"online merge = single stream" ~count:200
     QCheck.(pair (array (float_range (-50.) 50.)) (array (float_range (-50.) 50.)))
@@ -360,7 +385,7 @@ let prop_shuffle_preserves_multiset =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_binomial_symmetry; prop_percentile_monotone;
+    [ prop_binomial_symmetry; prop_percentile_monotone; prop_sort_matches_stdlib;
       prop_online_merge_matches_single_stream; prop_shuffle_preserves_multiset ]
 
 let suites =
