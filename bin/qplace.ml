@@ -132,11 +132,13 @@ let run ?(quiet = false) ?pin_jobs ?alpha ?algorithm ~command (c : common)
   with_obs ~quiet c.sinks { command; spec = c.spec; jobs; alpha; algorithm }
     (fun () -> f x)
 
-(* One offline solve as a "solve" wide event, whose body [f] runs
-   under it: a "build" span for the instance, a "solve" span for the
-   solver. *)
-let solve_event ~algorithm ~alpha f =
-  let ev = Obs.Wide.start ~kind:"solve" () in
+(* One offline unit of work as a wide event of the given [kind], whose
+   body [f] runs under it, so the spans [f] opens become its phases:
+   for a "solve", a "build" span for the instance and a "solve" span
+   for the solver; for a "scenario", the runner's solve, delay
+   evaluation and simulation spans. *)
+let wide_event ~kind ~algorithm ~alpha f =
+  let ev = Obs.Wide.start ~kind () in
   Obs.Wide.set_str ev "alg" algorithm;
   Obs.Wide.set ev "alpha" (Obs.Json.Float alpha);
   let res = Obs.Wide.within ev f in
@@ -151,7 +153,7 @@ let solve_event ~algorithm ~alpha f =
 let run_lp ~command (c : common) checked f =
   run ~command ~alpha:2. ~algorithm:"lp" c checked @@ fun x ->
   let* problem, outcome =
-    solve_event ~algorithm:"lp" ~alpha:2. @@ fun () ->
+    wide_event ~kind:"solve" ~algorithm:"lp" ~alpha:2. @@ fun () ->
     let* problem = Obs.Span.with_ "build" (fun () -> Spec.build c.spec) in
     let* outcome =
       Obs.Span.with_ "solve" (fun () ->
@@ -213,7 +215,7 @@ let solve_cmd (c : common) algorithm alpha pivot_budget instance save format =
      in
      Ok (solver, options))
   @@ fun (solver, options) ->
-  solve_event ~algorithm ~alpha @@ fun () ->
+  wide_event ~kind:"solve" ~algorithm ~alpha @@ fun () ->
   let* problem = Obs.Span.with_ "build" (fun () -> get_problem ~instance c) in
   let* () =
     match save with
@@ -608,7 +610,11 @@ let scenario_cmd file jobs format out sinks =
       run ~quiet:(format = "json") ~command:"scenario" ~alpha:sc.Scenario.alpha
         ~algorithm:sc.Scenario.alg { spec; sinks } (Ok ())
       @@ fun () ->
-      let* result = Qp_scenario.Runner.run sc in
+      let* result =
+        wide_event ~kind:"scenario" ~algorithm:sc.Scenario.alg
+          ~alpha:sc.Scenario.alpha
+        @@ fun () -> Qp_scenario.Runner.run sc
+      in
       let open Qp_scenario.Runner in
       if format = "text" then begin
         Printf.printf "scenario: %s (read_fraction=%g, %d offered loads)\n"

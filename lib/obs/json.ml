@@ -35,12 +35,16 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C primitive that Printf's [%g] conversions reduce to; called
+   directly it gives the same bytes without interpreting a format. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else
     (* Shortest representation that still round-trips. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"

@@ -15,7 +15,11 @@ type t =
 
 val to_string : t -> string
 (** Compact single-line rendering (one trace record per line). Finite
-    floats round-trip exactly through {!of_string}. *)
+    floats round-trip exactly through {!of_string}: each is written
+    with [%.12g] when that reads back equal, else with [%.17g]. *)
+
+val write : Buffer.t -> t -> unit
+(** [write buf v] appends the bytes of [to_string v] to [buf]. *)
 
 exception Parse_error of string
 

@@ -2,6 +2,7 @@ module Rng = Qp_util.Rng
 module Stats = Qp_util.Stats
 module Qp_error = Qp_util.Qp_error
 module Json = Qp_obs.Json
+module Span = Qp_obs.Span
 module Metric = Qp_graph.Metric
 module Strategy = Qp_quorum.Strategy
 module Rw_qs = Qp_quorum.Rw_qs
@@ -170,24 +171,30 @@ let run ?(pool = Qp_par.Pool.default ()) (spec : Scenario.t) =
     { Solver.default_params with alpha = spec.alpha; seed = spec.seed;
       topology_hint; system_hint }
   in
-  let* outcome = solve ~alg:spec.alg ~params problem in
-  let* sym_outcome = solve ~alg:spec.alg ~params (problem_of sym) in
-  let read_view = problem_of (Rw_qs.read_only rw ~read) in
-  let write_view = problem_of (Rw_qs.write_only rw ~write) in
-  let read_delay =
-    delay_of_protocol spec.protocol read_view outcome.Qp_place.Outcome.placement
-  in
-  let write_delay =
-    delay_of_protocol spec.protocol write_view
-      outcome.Qp_place.Outcome.placement
-  in
-  let sym_read_delay =
-    delay_of_protocol spec.protocol read_view
-      sym_outcome.Qp_place.Outcome.placement
+  let* outcome, sym_outcome =
+    Span.with_ "solve" @@ fun () ->
+    let* outcome = solve ~alg:spec.alg ~params problem in
+    let* sym_outcome = solve ~alg:spec.alg ~params (problem_of sym) in
+    Ok (outcome, sym_outcome)
   in
   let placement = outcome.Qp_place.Outcome.placement in
-  let analytic = delay_of_protocol spec.protocol problem placement in
+  let read_delay, write_delay, sym_read_delay, analytic =
+    Span.with_ "delay_eval" @@ fun () ->
+    let read_view = problem_of (Rw_qs.read_only rw ~read) in
+    let write_view = problem_of (Rw_qs.write_only rw ~write) in
+    let read_delay = delay_of_protocol spec.protocol read_view placement in
+    let write_delay = delay_of_protocol spec.protocol write_view placement in
+    let sym_read_delay =
+      delay_of_protocol spec.protocol read_view
+        sym_outcome.Qp_place.Outcome.placement
+    in
+    ( read_delay,
+      write_delay,
+      sym_read_delay,
+      delay_of_protocol spec.protocol problem placement )
+  in
   let cells =
+    Span.with_ "simulate" @@ fun () ->
     Qp_par.Pool.parallel_map pool (simulate spec problem placement ~analytic)
       spec.offered_loads
   in

@@ -357,20 +357,35 @@ type response = {
 
 let response ?timing ~id ~verb payload = { id; verb; payload; timing }
 
+(* Every field before the result or the error, in wire order. *)
+let envelope ?timing ~id ~verb ok =
+  [ ("schema", Json.String schema); ("id", id); ("verb", Json.String verb) ]
+  @ (match timing with
+    | None | Some [] -> []
+    | Some phases ->
+        [ ("timing",
+           Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases)) ])
+  @ [ ("ok", Json.Bool ok) ]
+
 let response_to_json (r : response) =
-  Json.Obj
-    ([ ("schema", Json.String schema); ("id", r.id);
-       ("verb", Json.String r.verb) ]
-    @ (match r.timing with
-      | None | Some [] -> []
-      | Some phases ->
-          [ ("timing",
-             Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases)) ])
-    @
-    match r.payload with
-    | Ok result -> [ ("ok", Json.Bool true); ("result", result) ]
-    | Error e ->
-        [ ("ok", Json.Bool false); ("error", serve_error_to_json e) ])
+  let envelope = envelope ?timing:r.timing ~id:r.id ~verb:r.verb in
+  match r.payload with
+  | Ok result -> Json.Obj (envelope true @ [ ("result", result) ])
+  | Error e -> Json.Obj (envelope false @ [ ("error", serve_error_to_json e) ])
+
+let encode_response ?timing ~id ~verb payload =
+  match payload with
+  | Error e -> Json.to_string (response_to_json (response ?timing ~id ~verb (Error e)))
+  | Ok result ->
+      let buf = Buffer.create 512 in
+      Json.write buf (Json.Obj (envelope ?timing ~id ~verb true));
+      (* Reopen the envelope at its closing brace and splice the result
+         text in as the last field. *)
+      Buffer.truncate buf (Buffer.length buf - 1);
+      Buffer.add_string buf {|,"result":|};
+      Buffer.add_string buf result;
+      Buffer.add_char buf '}';
+      Buffer.contents buf
 
 let response_of_json j =
   let* () =

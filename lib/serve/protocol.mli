@@ -153,6 +153,20 @@ val response_to_json : response -> Json.t
     when [None] or empty, keeping trace-free responses byte-identical
     to the pre-trace protocol. *)
 
+val encode_response :
+  ?timing:(string * float) list ->
+  id:Json.t ->
+  verb:string ->
+  (string, serve_error) result ->
+  string
+(** The server's one response writer. A successful result comes as
+    its serialized text and is copied in verbatim, so a result
+    serialized once can be served any number of times:
+    [encode_response ?timing ~id ~verb (Ok (Json.to_string j))] is
+    byte-equal to
+    [Json.to_string (response_to_json (response ?timing ~id ~verb (Ok j)))],
+    and an error response to its {!response_to_json} bytes. *)
+
 val response_of_json : Json.t -> (response, Qp_error.t) result
 
 (** {2 Shared solve semantics} *)

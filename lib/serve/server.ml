@@ -92,9 +92,10 @@ type flight = {
   solve : unit -> (Qp_place.Outcome.t, Qp_error.t) result;
 }
 
-(* What a solve task sends back to the event loop: the payload plus
-   the scoped metrics registry its telemetry landed on (merged into
-   the default registry on the loop thread, never concurrently). *)
+(* What a solve task sends back to the event loop: the outcome's JSON
+   tree plus the scoped metrics registry its telemetry landed on
+   (merged into the default registry on the loop thread, never
+   concurrently). *)
 type completion = {
   c_key : string;
   c_payload : (Json.t, Protocol.serve_error) result;
@@ -111,11 +112,12 @@ type state = {
   started : float;
   live : Live.t option;
       (* the evolving default instance; spec-less solves hit it *)
-  cache : (string, Json.t) Lru.t;
+  cache : (string, string) Lru.t;
       (* placement cache over canonical (spec|generation, options)
-         keys. Live-route entries embed the generation, so an applied
-         update makes them unreachable without clearing — full-spec
-         entries pin their own instance and survive updates. *)
+         keys, holding each result's serialized bytes. Live-route
+         entries embed the generation, so an applied update makes them
+         unreachable without clearing — full-spec entries pin their own
+         instance and survive updates. *)
   flights : (string, flight) Hashtbl.t; (* single-flight table *)
   mutable inflight_n : int; (* solve tasks submitted, not yet completed *)
   pool : Qp_par.Pool.t option; (* None when cfg.jobs = 1: solves inline *)
@@ -133,6 +135,17 @@ type state = {
   slo : Obs.Slo.t;
       (* every answered request feeds this; the [health] verb reports
          its windows and burn rates *)
+  (* Handles of the series every request updates, resolved on first
+     use and kept: a registry lookup renders the series key, and a
+     histogram's also rebuilds and compares its bucket bounds.
+     Resolving on first use rather than at start keeps the [metrics]
+     body's series, counts and order. *)
+  requests_by_verb : (string, Obs.Metrics.counter) Hashtbl.t;
+  cache_lookups : (string * string, Obs.Metrics.counter) Hashtbl.t;
+      (* by (generation, result); a retired generation leaves with its
+         series *)
+  latency : Obs.Metrics.histogram Lazy.t;
+  queue_wait : Obs.Metrics.histogram Lazy.t;
 }
 
 (* SIGTERM lands between loop iterations: the handler only flips this
@@ -185,9 +198,10 @@ let cache_c ~generation result =
    with them its lookup series: drop those, so the label set stays
    bounded by the current generation and "spec" however many updates
    the server applies. *)
-let drop_cache_series ~generation =
+let drop_cache_series st ~generation =
   List.iter
     (fun result ->
+      Hashtbl.remove st.cache_lookups (generation, result);
       Obs.Metrics.remove (reg ())
         ~labels:[ ("result", result); ("generation", generation) ]
         "qp_serve_solve_cache_total")
@@ -220,6 +234,14 @@ let build_info_g () =
     ~labels:[ ("version", Obs.Build_info.version) ]
     (reg ()) "qp_build_info"
 
+let resolved tbl key make =
+  match Hashtbl.find_opt tbl key with
+  | Some h -> h
+  | None ->
+      let h = make () in
+      Hashtbl.add tbl key h;
+      h
+
 (* ------------------------------------------------------------------ *)
 (* Socket helpers                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -244,9 +266,6 @@ let write_frame conn payload =
     done;
     if not !ok then conn.alive <- false
   end
-
-let send_response conn (resp : Protocol.response) =
-  write_frame conn (Json.to_string (Protocol.response_to_json resp))
 
 let close_conn conn =
   if conn.alive then begin
@@ -403,7 +422,7 @@ let update_payload st (req : Protocol.request) =
                  makes them unreachable; full-spec entries pin their
                  own instance and stay valid. Stale entries age out of
                  the LRU under capacity pressure. *)
-              drop_cache_series ~generation:stale;
+              drop_cache_series st ~generation:stale;
               Obs.Metrics.inc (updates_c ());
               Ok
                 (Json.Obj
@@ -423,14 +442,16 @@ let note_evictions st =
     st.evictions_reported <- total
   end
 
-(* Deliver one request's payload: record telemetry, assemble the
-   response (timing echo only on traced requests, so default responses
-   stay byte-identical), park it in the connection's ordered slot and
-   flush whatever prefix is ready. [sreg] is the scoped registry the
-   solve's telemetry landed on; merging here, on the loop thread,
-   keeps the default registry single-writer. *)
-let deliver st (m : member) (payload : (Json.t, Protocol.serve_error) result)
-    ~sreg =
+(* Deliver one request's payload: record telemetry, write the response
+   (timing echo only on traced requests, so default responses stay
+   byte-identical), park it in the connection's ordered slot and flush
+   whatever prefix is ready. A result is its serialized text, forced
+   here under the [serialize] span: a fresh result is serialized by
+   the first member it reaches, a cached one not at all. [sreg] is the
+   scoped registry the solve's telemetry landed on; merging here, on
+   the loop thread, keeps the default registry single-writer. *)
+let deliver st (m : member)
+    (payload : (string Lazy.t, Protocol.serve_error) result) ~sreg =
   (match sreg with
   | Some r when Obs.Metrics.enabled (reg ()) -> Obs.Metrics.merge ~into:(reg ()) r
   | _ -> ());
@@ -441,7 +462,8 @@ let deliver st (m : member) (payload : (Json.t, Protocol.serve_error) result)
   let t_done = Obs.Core.now () in
   let queue_s = Float.max (m.t_dispatch -. m.m_arrival) 0. in
   let handle_s = Float.max (t_done -. m.t_dispatch) 0. in
-  Obs.Metrics.inc (requests_c verb);
+  Obs.Metrics.inc
+    (resolved st.requests_by_verb verb (fun () -> requests_c verb));
   let outcome =
     match payload with
     | Error e ->
@@ -452,8 +474,8 @@ let deliver st (m : member) (payload : (Json.t, Protocol.serve_error) result)
     | Ok _ -> "ok"
   in
   let latency = Float.max (t_done -. m.m_arrival) 0. in
-  Obs.Metrics.observe (latency_h ()) latency;
-  Obs.Metrics.observe (queue_wait_h ()) queue_s;
+  Obs.Metrics.observe (Lazy.force st.latency) latency;
+  Obs.Metrics.observe (Lazy.force st.queue_wait) queue_s;
   Obs.Slo.record st.slo ~ok:(Result.is_ok payload) ~latency_s:latency;
   Obs.Span.add_attr "latency_s" (Json.Float latency);
   let timing =
@@ -461,9 +483,6 @@ let deliver st (m : member) (payload : (Json.t, Protocol.serve_error) result)
     | None -> None
     | Some _ ->
         Some [ ("parse", m.m_parse_s); ("queue", queue_s); ("handle", handle_s) ]
-  in
-  let resp =
-    Protocol.response ?timing ~id:m.m_req.Protocol.id ~verb payload
   in
   let ev = m.ev in
   Obs.Wide.phase ev "parse" m.m_parse_s;
@@ -480,7 +499,8 @@ let deliver st (m : member) (payload : (Json.t, Protocol.serve_error) result)
   let body =
     Obs.Wide.within ev (fun () ->
         Obs.Span.with_ "serialize" (fun () ->
-            Json.to_string (Protocol.response_to_json resp)))
+            Protocol.encode_response ?timing ~id:m.m_req.Protocol.id ~verb
+              (Result.map Lazy.force payload)))
   in
   Hashtbl.replace m.m_conn.slots m.seq { body; ev; outcome };
   flush_conn m.m_conn
@@ -525,7 +545,9 @@ let submit st (fl : flight) (m : member) =
   | Some pool -> Qp_par.Pool.async pool task
 
 let count_cache st ~generation result =
-  Obs.Metrics.inc (cache_c ~generation result);
+  Obs.Metrics.inc
+    (resolved st.cache_lookups (generation, result) (fun () ->
+         cache_c ~generation result));
   match result with
   | "hit" -> st.cache_hits <- st.cache_hits + 1
   | "miss" -> st.cache_misses <- st.cache_misses + 1
@@ -566,7 +588,7 @@ let dispatch_solve st (m : member) =
   match Lru.find st.cache key with
   | Some cached ->
       count_cache st ~generation "hit";
-      deliver st m (Ok cached) ~sreg:None
+      deliver st m (Ok (Lazy.from_val cached)) ~sreg:None
   | None -> (
       match Hashtbl.find_opt st.flights key with
       | Some fl ->
@@ -579,6 +601,10 @@ let dispatch_solve st (m : member) =
           let fl = { key; members = [ m ]; gen; solve } in
           Hashtbl.add st.flights key fl;
           submit st fl m)
+
+(* A payload tree as the text [deliver] writes, serialized when first
+   forced. *)
+let serialized payload = Result.map (fun j -> lazy (Json.to_string j)) payload
 
 let dispatch_one st (p : pending) =
   if p.conn.alive then begin
@@ -630,51 +656,56 @@ let dispatch_one st (p : pending) =
         ev;
       }
     in
+    let reply payload = deliver st m (serialized payload) ~sreg:None in
     if t_dispatch > deadline then
-      deliver st m
+      reply
         (Error (Protocol.Deadline_exceeded "request deadline expired in the queue"))
-        ~sreg:None
     else
       match p.req.Protocol.verb with
       | Protocol.Solve -> dispatch_solve st m
-      | Protocol.Update -> deliver st m (update_payload st p.req) ~sreg:None
+      | Protocol.Update -> reply (update_payload st p.req)
       | Protocol.Info ->
-          deliver st m
+          reply
             (info_payload
                (Option.value p.req.Protocol.spec ~default:st.cfg.default_spec))
-            ~sreg:None
-      | Protocol.Metrics -> deliver st m (Ok (metrics_payload st)) ~sreg:None
-      | Protocol.Health -> deliver st m (Ok (health_payload st)) ~sreg:None
+      | Protocol.Metrics -> reply (Ok (metrics_payload st))
+      | Protocol.Health -> reply (Ok (health_payload st))
       | Protocol.Shutdown ->
           start_drain st;
-          deliver st m (Ok (Json.Obj [ ("draining", Json.Bool true) ])) ~sreg:None
+          reply (Ok (Json.Obj [ ("draining", Json.Bool true) ]))
   end
 
 (* One completed solve attempt. Deadline errors belong to the leader
    alone — its budget, not the flight's — so a waiting follower is
    promoted and the solve retried under the follower's own deadline.
    Every other payload is a deterministic property of the request
-   (same key, same instance) and fans out to all members; successes
-   enter the cache unless the live instance moved on mid-flight. *)
+   (same key, same instance) and fans out to all members as one text,
+   serialized once; successes enter the cache, as that text, unless
+   the live instance moved on mid-flight. *)
 let process_completion st { c_key; c_payload; c_reg } =
   st.inflight_n <- st.inflight_n - 1;
   match Hashtbl.find_opt st.flights c_key with
   | None -> ()
   | Some fl -> (
+      let payload = serialized c_payload in
       match c_payload with
       | Error (Protocol.Deadline_exceeded _) -> (
           match fl.members with
           | [] -> Hashtbl.remove st.flights c_key
           | leader :: rest -> (
-              deliver st leader c_payload ~sreg:c_reg;
+              deliver st leader payload ~sreg:c_reg;
               fl.members <- rest;
               match rest with
               | [] -> Hashtbl.remove st.flights c_key
               | next :: _ -> submit st fl next))
       | _ ->
           Hashtbl.remove st.flights c_key;
-          (match c_payload with
-          | Ok j ->
+          List.iteri
+            (fun i m ->
+              deliver st m payload ~sreg:(if i = 0 then c_reg else None))
+            fl.members;
+          match payload with
+          | Ok text ->
               let current =
                 match (fl.gen, st.live) with
                 | None, _ -> true
@@ -682,14 +713,10 @@ let process_completion st { c_key; c_payload; c_reg } =
                 | Some _, None -> false
               in
               if current then begin
-                Lru.put st.cache c_key j;
+                Lru.put st.cache c_key (Lazy.force text);
                 note_evictions st
               end
-          | Error _ -> ());
-          List.iteri
-            (fun i m ->
-              deliver st m c_payload ~sreg:(if i = 0 then c_reg else None))
-            fl.members)
+          | Error _ -> ())
 
 let drain_completions st =
   let batch =
@@ -729,7 +756,7 @@ let reject conn ~id ~verb e =
   Obs.Metrics.inc (errors_c (Protocol.serve_error_code e));
   Obs.Span.event "rejected"
     ~attrs:[ ("code", Json.String (Protocol.serve_error_code e)) ];
-  send_response conn (Protocol.response ~id ~verb (Error e))
+  write_frame conn (Protocol.encode_response ~id ~verb (Error e))
 
 let admit st conn payload =
   let t0 = Obs.Core.now () in
@@ -940,6 +967,10 @@ let run ?ready cfg =
             cache_joins = 0;
             evictions_reported = 0;
             slo = Obs.Slo.create ();
+            requests_by_verb = Hashtbl.create 8;
+            cache_lookups = Hashtbl.create 8;
+            latency = lazy (latency_h ());
+            queue_wait = lazy (queue_wait_h ());
           }
         in
         let port =

@@ -47,6 +47,54 @@ let test_json_parse_errors () =
       | v -> Alcotest.failf "parsed %S as %s" s (Json.to_string v))
     [ "{bad"; "[1,"; "\"unterminated"; "1 2"; ""; "nul" ]
 
+(* The float writer as it was, on Printf: [Json.to_string] must write
+   every float with exactly these bytes. *)
+let printf_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* Bit patterns of every class: any 64 bits (NaNs and infinities
+   among them), subnormals, ±0, the lowest and highest exponents,
+   integral values, and decimals of 1–17 significant digits, which
+   take the %.12g branch up to 12 digits and the %.17g one past it. *)
+let float_bits_gen =
+  let open QCheck.Gen in
+  let sign = map (fun neg -> if neg then Int64.min_int else 0L) bool in
+  let mantissa = map (fun m -> Int64.logand m 0xF_FFFF_FFFF_FFFFL) ui64 in
+  let with_exponent e =
+    map3
+      (fun s e m -> Int64.logor s (Int64.logor (Int64.shift_left (Int64.of_int e) 52) m))
+      sign e mantissa
+  in
+  frequency
+    [ (3, ui64);
+      (2, with_exponent (return 0));
+      (1, sign);
+      (2, with_exponent (int_range 1 40));
+      (2, with_exponent (int_range 0x7D6 0x7FE));
+      ( 2,
+        map Int64.bits_of_float
+          (oneof
+             [ map float_of_int (int_range (-1_000_000) 1_000_000);
+               map (fun k -> ldexp 1. k) (int_range (-1074) 1023);
+               map2 (fun i k -> float_of_int i *. (10. ** float_of_int k))
+                 (int_range (-99999) 99999) (int_range 0 300) ]) );
+      ( 3,
+        map2
+          (fun digits f ->
+            Int64.bits_of_float (float_of_string (Printf.sprintf "%.*g" digits f)))
+          (int_range 1 17)
+          (map Int64.float_of_bits ui64) ) ]
+
+let prop_float_repr_matches_printf =
+  QCheck.Test.make ~name:"float writer = Printf %.12g/%.17g" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%Lx") float_bits_gen)
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      Json.to_string (Json.Float f) = printf_float_repr f)
+
 let test_json_accessors () =
   let v = Json.of_string {|{"a": 3, "b": 2.5, "c": "x"}|} in
   Alcotest.(check (option int)) "int" (Some 3) Option.(bind (Json.member "a" v) Json.to_int);
@@ -665,6 +713,32 @@ let test_tree_solve_phases () =
   Alcotest.(check bool) "search_nodes" true (attr "search_nodes" = Some (Json.Int 87));
   Alcotest.(check bool) "m_pairs" true (attr "m_pairs" = Some (Json.Int 91))
 
+(* `qplace scenario --wide-events` (a dune rule writes
+   scenario_wide.jsonl beside the test runner): the run is one
+   "scenario" record whose phases split it into the runner's solve,
+   delay evaluation and simulation, with the solver's and the
+   simulator's own spans beneath. *)
+
+let test_scenario_phases () =
+  let wides =
+    List.filter
+      (fun j -> Json.member "type" j = Some (Json.String "wide"))
+      (read_jsonl "scenario_wide.jsonl")
+  in
+  Alcotest.(check int) "one record" 1 (List.length wides);
+  let r = List.hd wides in
+  Alcotest.(check bool) "kind" true (Json.member "kind" r = Some (Json.String "scenario"));
+  Alcotest.(check bool) "outcome" true (Json.member "outcome" r = Some (Json.String "ok"));
+  let phases =
+    match Json.member "phases" r with
+    | Some (Json.Obj kvs) -> List.map fst kvs
+    | _ -> []
+  in
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " is a phase") true (List.mem k phases))
+    [ "solve"; "solve.qpp_solve"; "delay_eval"; "simulate";
+      "simulate.access_sim_run" ]
+
 let suites =
   [
     ( "obs.json",
@@ -673,6 +747,7 @@ let suites =
         Alcotest.test_case "non-finite -> null" `Quick test_json_nonfinite_is_null;
         Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
         Alcotest.test_case "accessors" `Quick test_json_accessors;
+        QCheck_alcotest.to_alcotest prop_float_repr_matches_printf;
       ] );
     ( "obs.metrics",
       [
@@ -705,6 +780,8 @@ let suites =
         Alcotest.test_case "fresh trace ids" `Quick test_wide_fresh_trace_ids;
         Alcotest.test_case "tree solve splits into check and search" `Quick
           test_tree_solve_phases;
+        Alcotest.test_case "scenario splits into solve, delay eval and simulation"
+          `Quick test_scenario_phases;
       ] );
     ( "obs.slo",
       [

@@ -839,6 +839,65 @@ let test_trace_and_timing_codec () =
   | Error (Qp_error.Invalid_instance _) -> ()
   | _ -> Alcotest.fail "mistyped timing must be invalid_instance"
 
+(* The tree writer's bytes for one response: every frame the server
+   writes must equal them. *)
+let tree_bytes ?timing ~id ~verb payload =
+  Json.to_string
+    (Protocol.response_to_json (Protocol.response ?timing ~id ~verb payload))
+
+(* Random responses: results and ids of any shape (floats from raw
+   bits, strings with control and non-ASCII bytes), optional timings,
+   and each kind of error. The writer the server uses must give the
+   tree writer's bytes. *)
+let response_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(oneof [ char_range '\000' '\255'; printable ]) (int_range 0 6) in
+  let float = oneof [ map Int64.float_of_bits ui64; float_range (-1e3) 1e3 ] in
+  let scalar =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int; map (fun f -> Json.Float f) float;
+        map (fun s -> Json.String s) str ]
+  in
+  let json =
+    fix
+      (fun self depth ->
+        if depth = 0 then scalar
+        else
+          frequency
+            [ (2, scalar);
+              (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (depth - 1))));
+              ( 1,
+                map (fun kv -> Json.Obj kv)
+                  (list_size (int_range 0 4) (pair str (self (depth - 1)))) ) ])
+  in
+  let error =
+    oneof
+      [ map (fun m -> Protocol.Overloaded m) str;
+        map (fun m -> Protocol.Deadline_exceeded m) str;
+        map (fun m -> Protocol.Typed (Qp_error.Invalid_instance m)) str;
+        map (fun m -> Protocol.Typed (Qp_error.Infeasible m)) str;
+        map (fun m -> Protocol.Typed (Qp_error.Internal m)) str;
+        map3
+          (fun node load cap -> Protocol.Typed (Qp_error.Capacity_violation { node; load; cap }))
+          small_nat float float ]
+  in
+  let payload =
+    frequency [ (3, map (fun r -> Ok r) (json 3)); (1, map (fun e -> Error e) error) ]
+  in
+  let timing = opt (list_size (int_range 0 3) (pair str float)) in
+  map3 (fun (id, verb) timing payload -> (id, verb, timing, payload))
+    (pair (json 1) str) timing payload
+
+let prop_writer_equals_tree_writer =
+  QCheck.Test.make ~name:"response writer = tree writer" ~count:500
+    (QCheck.make
+       ~print:(fun (id, verb, timing, payload) -> tree_bytes ?timing ~id ~verb payload)
+       response_gen)
+    (fun (id, verb, timing, payload) ->
+      Protocol.encode_response ?timing ~id ~verb (Result.map Json.to_string payload)
+      = tree_bytes ?timing ~id ~verb payload)
+
 let with_wide_sink f =
   let sink, read = Obs.Trace.memory () in
   Fun.protect
@@ -1154,6 +1213,69 @@ let test_served_bytes_identical_across_jobs () =
   checks "cache hit = fresh (jobs=4)" f4 c4;
   checks "jobs=4 = jobs=1 on the wire" f1 f4
 
+(* A frame whose payload the test cannot predict (an error message,
+   the uptime in a health report) must still be the tree writer's
+   bytes of the response it parses to. *)
+let check_tree_bytes what raw =
+  let r = get_ok what (Protocol.response_of_json (Json.of_string raw)) in
+  checks what (tree_bytes ?timing:r.Protocol.timing ~id:r.Protocol.id
+                 ~verb:r.Protocol.verb r.Protocol.payload) raw;
+  r
+
+let test_served_bytes_equal_tree_writer () =
+  let offline =
+    let solver = get_ok "find lp" (Solver.find "lp") in
+    let problem = get_ok "build" (Spec.build test_spec) in
+    let params = Protocol.solver_params test_spec Protocol.default_options in
+    Serialize.outcome_to_json (get_ok "offline solve" (solver.Solver.solve params problem))
+  in
+  let expect ?timing id =
+    tree_bytes ?timing ~id:(Json.Int id) ~verb:"solve" (Ok offline)
+  in
+  with_server ~tweak:(fun c -> { c with Server.jobs = 4 }) @@ fun port ->
+  (* a fresh solve and an identical one behind it in the same read:
+     the second joins the first's flight (or, if the solve already
+     finished, hits the cache) *)
+  let fd = burst port [ solve_req 1; solve_req 2 ] in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  checks "fresh miss" (expect 1) (read_raw fd);
+  checks "single-flight joiner" (expect 2) (read_raw fd);
+  send_frame fd (solve_req 3);
+  checks "cache hit" (expect 3) (read_raw fd);
+  let send req = send_frame fd (Json.to_string (Protocol.request_to_json req)) in
+  (* a traced hit echoes its timing between the envelope and the
+     cached result *)
+  send
+    (Protocol.request ~id:(Json.Int 4)
+       ~trace:{ Protocol.trace_id = "bytes-4"; parent_span = None }
+       Protocol.Solve);
+  let raw = read_raw fd in
+  let timing =
+    (get_ok "traced response" (Protocol.response_of_json (Json.of_string raw)))
+      .Protocol.timing
+  in
+  checkb "timing echoed" true (timing <> None);
+  checks "traced cache hit" (expect ?timing 4) raw;
+  send
+    (Protocol.request ~id:(Json.Int 5)
+       ~options:{ Protocol.default_options with Protocol.algorithm = "no-such-alg" }
+       Protocol.Solve);
+  checkb "error response" true
+    (Result.is_error (check_tree_bytes "error" (read_raw fd)).Protocol.payload);
+  send (Protocol.request ~id:(Json.Int 6) Protocol.Health);
+  ignore (check_tree_bytes "health" (read_raw fd));
+  send
+    (Protocol.request ~id:(Json.String "seven")
+       ~delta:[ Qp_instance.Delta.Set_edge { u = 0; v = 1; length = 2.5 } ]
+       Protocol.Update);
+  checkb "update applied" true
+    (Result.is_ok (check_tree_bytes "update" (read_raw fd)).Protocol.payload);
+  let g = cache_counters port in
+  checki "the spec solve and the unknown algorithm missed" 2 (g "misses");
+  checki "joiner, repeat and traced repeat absorbed" 3
+    (g "hits" + g "inflight_joins")
+
 let test_loadgen_trace_requests () =
   with_wide_sink @@ fun read ->
   with_server @@ fun port ->
@@ -1215,7 +1337,8 @@ let suites =
         Alcotest.test_case "request codec round-trip" `Quick test_request_codec;
         Alcotest.test_case "request defaults and errors" `Quick test_request_defaults_and_errors;
         Alcotest.test_case "delta codec" `Quick test_delta_codec;
-        Alcotest.test_case "partial spec defaults" `Quick test_partial_spec_defaults ] );
+        Alcotest.test_case "partial spec defaults" `Quick test_partial_spec_defaults;
+        QCheck_alcotest.to_alcotest prop_writer_equals_tree_writer ] );
     ( "serve.server",
       [ Alcotest.test_case "all verbs round-trip" `Quick test_all_verbs;
         Alcotest.test_case "served solve = offline solve" `Quick test_served_equals_offline;
@@ -1247,6 +1370,8 @@ let suites =
           test_pooled_deadline_cancellation;
         Alcotest.test_case "drain with inflight pooled solves" `Quick
           test_drain_with_inflight_pooled_solves;
+        Alcotest.test_case "served bytes = tree writer bytes" `Quick
+          test_served_bytes_equal_tree_writer;
         Alcotest.test_case "served bytes identical across jobs" `Quick
           test_served_bytes_identical_across_jobs ] );
     ( "serve.loadgen",
