@@ -35,6 +35,8 @@ let with_objective t obj =
   if Array.length obj <> t.n then invalid_arg "Lp.with_objective: length mismatch";
   { t with obj = Array.copy obj }
 
+let same_rows a b = a.n = b.n && a.rows == b.rows && a.start == b.start
+
 let set_start t cols =
   Array.iter (fun v -> check_var t v "set_start") cols;
   t.start <- Some (Array.copy cols)
@@ -59,18 +61,17 @@ let constraints t = List.rev t.rows
 
 let eval_terms terms x = List.fold_left (fun acc (v, c) -> acc +. (c *. x.(v))) 0. terms
 
+let holds ~tol cmp ~rhs lhs =
+  let slack_scale = Float.max 1. (Float.abs rhs) in
+  match cmp with
+  | Le -> lhs <= rhs +. (tol *. slack_scale)
+  | Ge -> lhs >= rhs -. (tol *. slack_scale)
+  | Eq -> Float.abs (lhs -. rhs) <= tol *. slack_scale
+
 let is_feasible ?(tol = 1e-7) t x =
   Array.length x = t.n
   && Array.for_all (fun xi -> xi >= -.tol) x
-  && List.for_all
-       (fun { terms; cmp; rhs } ->
-         let lhs = eval_terms terms x in
-         let slack_scale = Float.max 1. (Float.abs rhs) in
-         match cmp with
-         | Le -> lhs <= rhs +. (tol *. slack_scale)
-         | Ge -> lhs >= rhs -. (tol *. slack_scale)
-         | Eq -> Float.abs (lhs -. rhs) <= tol *. slack_scale)
-       t.rows
+  && List.for_all (fun { terms; cmp; rhs } -> holds ~tol cmp ~rhs (eval_terms terms x)) t.rows
 
 let objective_value t x =
   let acc = ref 0. in

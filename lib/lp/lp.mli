@@ -37,6 +37,12 @@ val with_objective : t -> float array -> t
     {!start} is kept.
     @raise Invalid_argument unless [c] has one entry per variable. *)
 
+val same_rows : t -> t -> bool
+(** [same_rows a b] holds when [b] has [a]'s variables, its very row
+    list and its start, as {!with_objective} of one from the other
+    gives; only the objectives may differ. A row added to or a start
+    set on either one since makes it false. *)
+
 val add_constraint : t -> (int * float) list -> cmp -> float -> unit
 (** [add_constraint lp terms cmp rhs] appends a row
     [sum_i c_i x_i cmp rhs]. Duplicate variable mentions are summed.
@@ -47,7 +53,7 @@ val set_start : t -> int array -> unit
     a basis at a primal-feasible point, e.g. one built from a feasible
     integral assignment. {!Simplex.solve} crash-starts from it and
     skips phase 1 when the crash is primal-feasible; it checks that, so
-    a wrong start costs a rebuild, never a wrong answer.
+    a wrong start costs phase 1, never a wrong answer.
     @raise Invalid_argument on out-of-range variables. *)
 
 val start : t -> int array option
@@ -61,6 +67,11 @@ val eval_terms : (int * float) list -> float array -> float
 
 val is_feasible : ?tol:float -> t -> float array -> bool
 (** Checks non-negativity and every row at the given point. *)
+
+val holds : tol:float -> cmp -> rhs:float -> float -> bool
+(** [holds ~tol cmp ~rhs lhs] is {!is_feasible}'s test of one row
+    whose terms sum to [lhs] at the point: [lhs cmp rhs] within [tol]
+    times [max 1 |rhs|]. *)
 
 val objective_value : t -> float array -> float
 

@@ -7,7 +7,12 @@
     primal-feasible. The constraint
     matrix is kept as sparse columns and only the m x m basis inverse
     is updated per pivot, so no m x ncols tableau is ever built; FTRAN
-    walks only the listed nonzero rows of its columns
+    walks only the listed nonzero rows of its columns, and pricing
+    recomputes only the reduced costs of columns that meet a row whose
+    dual moved. Everything that does not depend on the objective — the
+    sparse matrix and the state reached by crashing the model's start —
+    is built once per {!prepared} start and shared by the LPs that
+    differ only in their objective
     (DESIGN.md §15, "Scaling the solve core"). *)
 
 type outcome =
@@ -15,14 +20,33 @@ type outcome =
   | Infeasible
   | Unbounded
 
+type prepared
+(** The objective-free part of a solve, immutable once built: the
+    sparse constraint matrix with a row index, and the basis, basic
+    solution and (sparse) basis inverse that crashing the model's
+    start ({!Lp.set_start}) reaches, or the fact that it was refused.
+    It holds nothing sized rows², so keeping one per shared
+    constraint block is cheap, and solves on several domains may read
+    it at once. *)
+
+val prepare : Lp.t -> prepared
+(** [prepare lp] builds the prepared start of [lp]'s rows and start;
+    the objective is not read. Crash pivots count into
+    [qp_simplex_pivots_total] here, once, however many solves use the
+    result. LPs of more than 65536 rows are refused with
+    [Qp_util.Qp_error.Error (Internal _)] (the dense basis inverse
+    alone would take 34 GB). *)
+
 val solve : ?max_pivots:int -> Lp.t -> outcome
-(** Solves [minimize c.x  s.t. rows, x >= 0]. When the model carries
-    a start ({!Lp.set_start}), its columns are crashed into the basis
-    first; if that basis is primal-feasible, phase 1 is skipped and
-    phase 2 starts there. Otherwise the state is rebuilt and phase 1
-    runs. Each try counts in
-    [qp_simplex_start_total{outcome="taken"|"refused"}]; crash pivots
-    count into [qp_simplex_pivots_total]. [max_pivots] defaults to
+(** Solves [minimize c.x  s.t. rows, x >= 0]. [lp] is prepared first
+    (see {!prepare}); its start is crashed, and the crash pivots
+    counted with this solve, when the solve uses it. When the model's
+    start was taken, phase 1 is skipped
+    and phase 2 starts from the crashed basis; otherwise phase 1 runs
+    from the identity basis. Each solve with a start counts in
+    [qp_simplex_start_total{outcome="taken"|"refused"}]. Every pivot
+    counts into [qp_simplex_pivots_total], also when the solve raises.
+    [max_pivots] defaults to
     [50_000 + 50 * (rows + vars)]; exceeding it raises
     [Qp_util.Qp_error.Error (Internal _)] (caught at the solver-engine
     boundary; front ends expose it as a [--pivot-budget] knob). On
@@ -31,8 +55,7 @@ val solve : ?max_pivots:int -> Lp.t -> outcome
     the never-refactorized basis inverse) raises the same typed
     [Internal] error and counts in
     [qp_simplex_numeric_failures_total]. LPs of more than 65536 rows
-    are refused the same way (the dense basis inverse alone would take
-    34 GB). *)
+    are refused as {!prepare} refuses them. *)
 
 type basis
 (** Opaque snapshot of the final simplex basis of an optimal solve:
@@ -40,21 +63,33 @@ type basis
     coefficients moved a little (an instance delta). *)
 
 val solve_warm :
-  ?max_pivots:int -> ?warm:basis -> Lp.t -> outcome * basis option
+  ?max_pivots:int ->
+  ?warm:basis ->
+  ?prepared:prepared ->
+  Lp.t ->
+  outcome * basis option
 (** Like {!solve}, and additionally returns the final basis on
     [Optimal] for reuse. With [~warm] (a basis from a previous solve of
     an LP with the same variable/constraint layout), the solver crashes
-    those columns into the fresh basis first; if the crash start is
+    those columns into the identity basis first; if the crash start is
     primal-feasible, phase 1 is skipped entirely and small deltas
     re-solve in far fewer pivots. If the crash start is infeasible —
     the delta moved the optimum across a facet, or the LP shapes do not
-    match — the basis is rebuilt and the solve runs exactly as
+    match — the solve restores the prepared start and runs exactly as
     {!solve} does (the model's start, else phase 1), so the outcome
     (objective, feasibility classification) is always identical to
     {!solve} up to the usual pivot-order float noise. Warm attempts and
     successes are counted in the
     [qp_simplex_warm_attempts_total] / [qp_simplex_warm_used_total]
-    metrics; crash pivots count into [qp_simplex_pivots_total]. *)
+    metrics; crash pivots count into [qp_simplex_pivots_total].
+
+    [prepared], built by {!prepare} from a model with [lp]'s rows and
+    start (one that {!Lp.with_objective} made [lp] from, or the other
+    way round), stands in for preparing [lp] here; the outcome, basis
+    included, is the same bits either way, and only the crash of the
+    model's start, counted once by {!prepare}, is not repeated.
+    @raise Invalid_argument when [prepared] was built from other rows
+    ({!Lp.same_rows}). *)
 
 val set_deadline : float option -> unit
 (** Install (or clear) a domain-local wall-clock deadline, in
@@ -81,8 +116,9 @@ type certified = {
 
 type certified_outcome = Certified of certified | C_infeasible | C_unbounded
 
-val solve_certified : ?max_pivots:int -> Lp.t -> certified_outcome
-(** Like {!solve} but also extracts the optimal dual multipliers from
+val solve_certified : ?max_pivots:int -> ?prepared:prepared -> Lp.t -> certified_outcome
+(** Like {!solve} ([prepared] as in {!solve_warm}) but also extracts
+    the optimal dual multipliers from
     the final basis, giving a machine-checkable optimality
     certificate (see {!check_certificate}). Convention for
     [min c.x, x >= 0]: a [<=] row has [y <= 0], a [>=] row has

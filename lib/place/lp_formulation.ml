@@ -118,12 +118,16 @@ let constraint_block system strategy caps =
 
 let caps_by_rank capacities node_of_rank = Array.map (fun v -> capacities.(v)) node_of_rank
 
-(* Constraint blocks keyed by their capacity-by-rank vector. Only
-   read once built, so pool workers share the table. *)
-type blocks = (float array, Lp.t) Hashtbl.t
+(* Constraint blocks keyed by their capacity-by-rank vector, each with
+   its prepared simplex start. Only read once built, so pool workers
+   share the table. *)
+type blocks = (float array, Lp.t * Simplex.prepared) Hashtbl.t
 
 (* A vector used by one candidate only gets no block: that candidate
-   builds its rows itself, on its pool worker, as without blocks. *)
+   builds and prepares its rows itself, on its pool worker, as without
+   blocks. The shared blocks are built and prepared here, serially, so
+   their crash pivots count in the caller's registry whatever the
+   worker count. *)
 let blocks (p : Problem.qpp) candidates =
   let uses = Hashtbl.create 16 in
   List.iter
@@ -136,25 +140,27 @@ let blocks (p : Problem.qpp) candidates =
   let blocks = Hashtbl.create 4 in
   Hashtbl.iter
     (fun caps k ->
-      if k > 1 then
-        Hashtbl.replace blocks caps (constraint_block p.Problem.system p.Problem.strategy caps))
+      if k > 1 then begin
+        let rows = constraint_block p.Problem.system p.Problem.strategy caps in
+        Hashtbl.replace blocks caps (rows, Simplex.prepare rows)
+      end)
     uses;
   blocks
 
 let n_blocks = Hashtbl.length
 
 (* The full LP (9)-(14) of [s]: its objective (9) over the constraint
-   block of its capacity-by-rank vector, taken from [blocks] when it is
-   there. *)
+   block of its capacity-by-rank vector, with that block's prepared
+   start when [blocks] has it. *)
 let lp_of ?blocks (s : Problem.ssqpp) ~node_of_rank ~dist =
   let n = Array.length node_of_rank in
   let nu = Quorum.universe s.Problem.system in
   let nq = Quorum.n_quorums s.Problem.system in
   let caps = caps_by_rank s.Problem.capacities node_of_rank in
-  let rows =
+  let rows, prepared =
     match Option.bind blocks (fun b -> Hashtbl.find_opt b caps) with
-    | Some rows -> rows
-    | None -> constraint_block s.Problem.system s.Problem.strategy caps
+    | Some (rows, prepared) -> (rows, Some prepared)
+    | None -> (constraint_block s.Problem.system s.Problem.strategy caps, None)
   in
   (* Objective (9). *)
   let obj = Array.make (Lp.n_vars rows) 0. in
@@ -163,11 +169,12 @@ let lp_of ?blocks (s : Problem.ssqpp) ~node_of_rank ~dist =
       obj.(var_quorum ~n ~nu ~nq t q) <- s.Problem.strategy.(q) *. dist.(t)
     done
   done;
-  (Lp.with_objective rows obj, var_elem ~nu, var_quorum ~n ~nu ~nq)
+  (Lp.with_objective rows obj, prepared, var_elem ~nu, var_quorum ~n ~nu ~nq)
 
 let build (s : Problem.ssqpp) =
   let _, node_of_rank, dist = ordering s in
-  lp_of s ~node_of_rank ~dist
+  let lp, _, var_elem, var_quorum = lp_of s ~node_of_rank ~dist in
+  (lp, var_elem, var_quorum)
 
 let solve_warm ?max_pivots ?warm ?blocks (s : Problem.ssqpp) =
   let rank_of_node, node_of_rank, dist = ordering s in
@@ -179,14 +186,14 @@ let solve_warm ?max_pivots ?warm ?blocks (s : Problem.ssqpp) =
       [ ("v0", Obs.Json.Int s.Problem.v0); ("n", Obs.Json.Int n);
         ("universe", Obs.Json.Int nu); ("quorums", Obs.Json.Int nq) ]
   @@ fun () ->
-  let lp, var_elem, var_quorum = lp_of ?blocks s ~node_of_rank ~dist in
+  let lp, prepared, var_elem, var_quorum = lp_of ?blocks s ~node_of_rank ~dist in
   if Lp.start lp = None then
     Obs.Metrics.inc
       (Obs.Metrics.counter
          ~help:"LP starts by outcome: taken, refused, or no_first_fit (none built)"
          ~labels:[ ("outcome", "no_first_fit") ] (Obs.Metrics.current ())
          "qp_simplex_start_total");
-  match Simplex.solve_warm ?max_pivots ?warm lp with
+  match Simplex.solve_warm ?max_pivots ?warm ?prepared lp with
   | Simplex.Infeasible, _ ->
       Obs.Span.add_attr "infeasible" (Obs.Json.Bool true);
       (None, None)

@@ -39,19 +39,23 @@ val build : Problem.ssqpp -> Qp_lp.Lp.t * (int -> int -> int) * (int -> int -> i
     carries none. *)
 
 type blocks
-(** Rows (10)–(14) for the candidate sources of one solve. Those rows
-    depend on the source only through the capacity of the node at each
-    rank, so sources with the same capacity-by-rank vector share one
-    block: with uniform capacities a solve builds one block, not one
-    per source. Immutable once built, so the candidates of a pool
-    fan-out read it concurrently; meant to live for one solve. *)
+(** Rows (10)–(14) for the candidate sources of one solve, each with
+    its {!Qp_lp.Simplex.prepared} start. Those rows depend on the
+    source only through the capacity of the node at each rank, so
+    sources with the same capacity-by-rank vector share one block: with
+    uniform capacities a solve builds, and crashes the first-fit start
+    of, one block, not one per source. Immutable once built, so the
+    candidates of a pool fan-out read it concurrently; meant to live
+    for one solve. *)
 
 val blocks : Problem.qpp -> int list -> blocks
-(** [blocks p candidates] builds one block per capacity-by-rank vector
-    that two or more of [candidates] share. A candidate whose vector
-    is its own builds its rows when its LP is made ({!solve_warm}), so
-    a solve where every source ranks the capacities differently builds
-    nothing up front. *)
+(** [blocks p candidates] builds and prepares one block per
+    capacity-by-rank vector that two or more of [candidates] share,
+    counting the crash pivots of each start once, in the current
+    metrics registry. A candidate whose vector is its own builds its
+    rows when its LP is made ({!solve_warm}), so a solve where every
+    source ranks the capacities differently builds nothing up
+    front. *)
 
 val n_blocks : blocks -> int
 
@@ -75,10 +79,10 @@ val solve_warm :
     optimum too far or changed the LP layout, e.g. by re-ranking nodes
     or toggling an oversize-pinning row). The returned basis is [None]
     when the LP is infeasible. With [~blocks] (built from the same
-    problem) the LP takes its rows from the block of its
-    capacity-by-rank vector; one missing from [blocks] is built afresh.
-    The LP, and so every output bit, is the one {!build} makes, start
-    included. A candidate LP without a start counts in
+    problem) the LP takes its rows and prepared start from the block
+    of its capacity-by-rank vector; one missing from [blocks] is built
+    and prepared afresh. The LP, and so every output bit, is the one
+    {!build} makes, start included. A candidate LP without a start counts in
     [qp_simplex_start_total{outcome="no_first_fit"}]. *)
 
 val quorum_frontier : fractional -> int -> float

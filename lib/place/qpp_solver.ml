@@ -147,9 +147,9 @@ let run ~alpha ?candidates ~round_of (p : Problem.qpp) =
 let solve_with ~alpha ?candidates ~round p =
   run ~alpha ?candidates ~round_of:(fun _ -> round) p
 
-(* The rows (10)-(14) shared by several candidate LPs are built before
-   the fan-out, once per capacity-by-rank vector, and dropped with the
-   solve. *)
+(* The rows (10)-(14) shared by several candidate LPs are built, and
+   their simplex start prepared, before the fan-out, once per
+   capacity-by-rank vector, and dropped with the solve. *)
 let solve_warm ~alpha ?max_pivots ?candidates ~warm p =
   run ~alpha ?candidates p ~round_of:(fun candidates ->
       let blocks = Lp_formulation.blocks p candidates in

@@ -295,6 +295,44 @@ let test_infeasible_start_refused () =
     (Invalid_argument "Lp.set_start: variable out of range") (fun () ->
       Lp.set_start lp [| 2 |])
 
+(* A solve that runs out of pivot budget still counts the pivots it
+   made and hands its buffers back to the domain. Phase 1 drives out
+   the artificials of the two equality rows below, one pivot each, so a
+   budget of one raises on the second. The LP has many rows but few
+   variables and nonzeros, so every major-heap allocation of a solve
+   stays far below the rows² floats of a new basis inverse: a later
+   solve allocating fewer words than that reused the buffers. *)
+let test_budget_exceeded_counts_pivots () =
+  let n = 40 in
+  let lp = Lp.create n in
+  Lp.add_constraint lp [ (0, 1.); (1, 1.) ] Lp.Eq 1.;
+  Lp.add_constraint lp [ (2, 1.); (3, 1.) ] Lp.Eq 1.;
+  for i = 0 to 149 do
+    Lp.add_constraint lp [ (i mod n, 1.) ] Lp.Le (float_of_int (1 + (i / n)))
+  done;
+  for v = 0 to n - 1 do
+    Lp.set_objective lp v (float_of_int ((v * 7) mod 11))
+  done;
+  let m = Lp.n_constraints lp in
+  let reg = Qp_obs.Metrics.create ~enabled:true () in
+  Alcotest.check_raises "budget exceeded"
+    (Qp_util.Qp_error.Error (Internal "Simplex: pivot budget exceeded (1 pivots)"))
+    (fun () ->
+      Qp_obs.Metrics.with_current reg (fun () -> ignore (Simplex.solve ~max_pivots:1 lp)));
+  Alcotest.(check (float 0.)) "pivots counted" 2.
+    (Qp_obs.Metrics.counter_value (Qp_obs.Metrics.counter reg "qp_simplex_pivots_total"));
+  let major () =
+    let _, _, words = Gc.counters () in
+    words
+  in
+  let before = major () in
+  ignore (solve_opt lp);
+  let words = major () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "buffers reused (%.0f major words < %d)" words (m * m))
+    true
+    (words < float_of_int (m * m))
+
 (* A witness LP is feasible (the witness) and bounded (objective >= 0
    on x >= 0), so it must solve to an optimum no worse than the
    witness; its planted-infeasible copy must be classified as such. *)
@@ -457,6 +495,8 @@ let suites =
         Alcotest.test_case "failed warm crash takes the start" `Quick
           test_warm_falls_back_to_start;
         Alcotest.test_case "infeasible start refused" `Quick test_infeasible_start_refused;
+        Alcotest.test_case "budget exceeded counts pivots" `Quick
+          test_budget_exceeded_counts_pivots;
       ] );
     ( "lp.duality",
       [

@@ -684,12 +684,119 @@ let prop_start_matches_startless =
       && (seed mod 2 = 0
          || Lp_formulation.(n_blocks (blocks p (List.init n Fun.id))) > 0))
 
+(* Seeded waxman placement instances (grid:2 or majority:5:3). On
+   seeds 2 and 3 mod 4 one node's capacity is halved, so the
+   candidates rank the capacities in several ways, and those that
+   rank them alike share a non-uniform block. *)
+let prepared_qpp seed =
+  let rng = Rng.create (seed + 900) in
+  let spec =
+    {
+      Qp_instance.Spec.default with
+      Qp_instance.Spec.topology = "waxman";
+      nodes = 6 + Rng.int rng 4;
+      system = (if seed mod 2 = 0 then "grid:2" else "majority:5:3");
+      cap_slack = 1. +. Rng.float rng 1.;
+      seed = 1 + Rng.int rng 100_000;
+    }
+  in
+  let p = Result.get_ok (Qp_instance.Spec.build spec) in
+  if seed mod 4 < 2 then p
+  else begin
+    let caps = Array.copy p.Problem.capacities in
+    let v = Rng.int rng (Array.length caps) in
+    caps.(v) <- caps.(v) /. 2.;
+    { p with Problem.capacities = caps }
+  end
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* [shared], solved from [prepared] (whose crash made [crash] pivots),
+   and [own], solved from its own build and crash, give the same bits:
+   x, objective, duals, final basis, and the same pivots once the
+   shared crash is added back. *)
+let same_solve ~prepared ~crash shared own =
+  let reg_shared = Metrics.create ~enabled:true () and reg_own = Metrics.create ~enabled:true () in
+  let a = Metrics.with_current reg_shared (fun () -> Simplex.solve_certified ~prepared shared) in
+  let b = Metrics.with_current reg_own (fun () -> Simplex.solve_certified own) in
+  let pivots reg = counter reg "qp_simplex_pivots_total" in
+  pivots reg_shared +. crash = pivots reg_own
+  && snd (Simplex.solve_warm ~prepared shared) = snd (Simplex.solve_warm own)
+  &&
+  match (a, b) with
+  | Simplex.Certified a, Simplex.Certified b ->
+      same_bits a.Simplex.x b.Simplex.x
+      && same_bits [| a.Simplex.objective |] [| b.Simplex.objective |]
+      && same_bits a.Simplex.duals b.Simplex.duals
+  | Simplex.C_infeasible, Simplex.C_infeasible -> true
+  | _ -> false
+
+(* Every candidate LP solved from the prepared start of its block (the
+   rows it shares with the other candidates that build the same rows
+   and start) gives the bits of solving it from its own build and
+   crash, one LP after the other on the same solver buffers. So does
+   candidate 0 under a start that crashes x_{0,Q} of quorum 0 alone,
+   which is refused (a (14) slack goes negative) and runs phase 1. *)
+let prop_prepared_start_same_bits =
+  QCheck.Test.make ~name:"LP from its block's prepared start = from its own build and crash"
+    ~count:30 QCheck.small_int (fun seed ->
+      let p = prepared_qpp seed in
+      let n = Problem.n_nodes p in
+      let build v0 =
+        let lp, _, var_quorum = Lp_formulation.build (Problem.ssqpp_of_qpp p v0) in
+        (lp, var_quorum)
+      in
+      let lps = List.init n (fun v0 -> fst (build v0)) in
+      let key lp = (Lp.constraints lp, Lp.start lp) in
+      let groups =
+        List.fold_left
+          (fun groups lp ->
+            match List.partition (fun g -> key (List.hd g) = key lp) groups with
+            | [ g ], rest -> (g @ [ lp ]) :: rest
+            | _ -> [ lp ] :: groups)
+          [] lps
+      in
+      let from_block block members =
+        let reg = Metrics.create ~enabled:true () in
+        let prepared = Metrics.with_current reg (fun () -> Simplex.prepare block) in
+        let crash = counter reg "qp_simplex_pivots_total" in
+        List.for_all
+          (fun (shared, own) -> same_solve ~prepared ~crash shared own)
+          (List.map (fun lp -> (Lp.with_objective block (Lp.objective lp), lp)) members)
+      in
+      let zero lp = Lp.with_objective lp (Array.make (Lp.n_vars lp) 0.) in
+      let refused () =
+        let lp, var_quorum = build 0 in
+        Lp.set_start lp [| var_quorum 0 0 |];
+        lp
+      in
+      let refused_block = zero (refused ()) in
+      let reg = Metrics.create ~enabled:true () in
+      let (_ : Simplex.certified_outcome) =
+        Metrics.with_current reg (fun () -> Simplex.solve_certified (refused ()))
+      in
+      (seed mod 4 >= 2 || List.length groups = 1)
+      && starts reg "refused" = 1.
+      && List.for_all (fun g -> from_block (zero (List.hd g)) g) groups
+      && List.for_all
+           (fun own ->
+             from_block refused_block [ own ]
+             && same_solve
+                  ~prepared:(Simplex.prepare refused_block) ~crash:0.
+                  (Lp.with_objective refused_block (Lp.objective own))
+                  own)
+           [ refused () ])
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_thm37_random; prop_grid_concentric_optimal;
       prop_majority_any_placement_same_delay; prop_scale_invariance;
-      prop_start_matches_startless;
+      prop_start_matches_startless; prop_prepared_start_same_bits;
     ]
 
 let suites =

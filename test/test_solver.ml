@@ -245,7 +245,7 @@ let test_seed_solve_pivots () =
   in
   let counter name = Qp_obs.Metrics.counter_value (Qp_obs.Metrics.counter reg name) in
   Alcotest.(check (float 0.)) "simplex solves" 16. (counter "qp_simplex_solves_total");
-  Alcotest.(check (float 0.)) "simplex pivots" 3706. (counter "qp_simplex_pivots_total");
+  Alcotest.(check (float 0.)) "simplex pivots" 3436. (counter "qp_simplex_pivots_total");
   (* Every candidate's LP starts phase 2 from its first-fit start. *)
   List.iter
     (fun (outcome, expected) ->
