@@ -27,13 +27,17 @@ module Obs = Qp_obs
    the run, so the recorded series are exactly the experiment's own, no
    matter which domain executes it or what ran before or beside it (a
    shared cache would turn its APSP work counters into a record of the
-   cache's history). Its wide event is the span root of the run, so the
-   record breaks its time down by the solver spans it passed through. *)
+   cache's history). The LP block cache needs no scope for its counters
+   (a hit counts the crash it skips), but it is emptied first, so that
+   blocks earlier experiments left do not raise this one's peak RSS.
+   Its wide event is the span root of the run, so the record breaks its
+   time down by the solver spans it passed through. *)
 let run_one ~buffer name =
   let reg = Obs.Metrics.create ~enabled:true () in
   let ev = Obs.Wide.start ~kind:"bench_experiment" () in
   Obs.Wide.set_str ev "experiment" name;
   let run () =
+    Qp_place.Lp_formulation.reset_block_cache ();
     Obs.Metrics.with_current reg (fun () ->
         Qp_graph.Metric.with_private_apsp_cache (fun () ->
             Obs.Wide.within ev (fun () -> Experiments.by_name name)))

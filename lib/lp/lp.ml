@@ -43,14 +43,17 @@ let set_start t cols =
 
 let start t = t.start
 
+(* A variable mentioned once keeps the caller's pair, so rows built
+   from shared pairs share them. *)
 let merge_terms terms =
   let tbl = Hashtbl.create (List.length terms) in
   List.iter
-    (fun (v, c) ->
-      let cur = try Hashtbl.find tbl v with Not_found -> 0. in
-      Hashtbl.replace tbl v (cur +. c))
+    (fun ((v, c) as term) ->
+      match Hashtbl.find_opt tbl v with
+      | Some (_, cur) -> Hashtbl.replace tbl v (v, cur +. c)
+      | None -> Hashtbl.replace tbl v term)
     terms;
-  Hashtbl.fold (fun v c acc -> if c = 0. then acc else (v, c) :: acc) tbl []
+  Hashtbl.fold (fun _ ((_, c) as term) acc -> if c = 0. then acc else term :: acc) tbl []
 
 let add_constraint t terms cmp rhs =
   List.iter (fun (v, _) -> check_var t v "add_constraint") terms;

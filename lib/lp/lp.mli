@@ -45,7 +45,9 @@ val same_rows : t -> t -> bool
 
 val add_constraint : t -> (int * float) list -> cmp -> float -> unit
 (** [add_constraint lp terms cmp rhs] appends a row
-    [sum_i c_i x_i cmp rhs]. Duplicate variable mentions are summed.
+    [sum_i c_i x_i cmp rhs]. Duplicate variable mentions are summed;
+    a variable mentioned once keeps the given pair, so rows may share
+    their term pairs.
     @raise Invalid_argument on out-of-range variables. *)
 
 val set_start : t -> int array -> unit

@@ -51,7 +51,9 @@
    entries and lists back), so it starts from the same bits the crash
    left, without repeating it. LPs that differ only in their objective
    (the SSQPP candidates of one constraint block) share one prepared
-   start; an LP solved on its own is prepared first.
+   start, and the SSQPP blocks are kept across solves; an LP solved on
+   its own is prepared first. The start records its crash pivots, so
+   each use of a kept start can count them ([count_crash]).
 
    Starts. A solve tries, in order: the caller's warm basis, crashed
    from the identity B⁻¹ over the slack and artificial columns, then
@@ -125,6 +127,7 @@ type prepared = {
   row_dual : (int * float) array;
   identity : snapshot; (* the slack / artificial basis, B⁻¹ = I *)
   start : start;
+  crash_pivots : int; (* pivots of the crash that took [start] *)
 }
 
 type state = {
@@ -568,8 +571,8 @@ let try_crash st (warm : basis) =
    factor. The identity basis takes each row's slack (Le) or
    artificial (Ge, Eq) column. With [~crash] the model's start, if
    any, is crashed from it on the domain's scratch, and the crash
-   pivots are returned beside the prepared start, not counted;
-   without, the start is left [Pending]. *)
+   pivots are recorded in the prepared start, not counted; without,
+   the start is left [Pending]. *)
 let prepare_uncounted ~crash lp =
   let n = Lp.n_vars lp in
   let rows = Array.of_list (Lp.constraints lp) in
@@ -687,18 +690,19 @@ let prepare_uncounted ~crash lp =
       row_dual;
       identity;
       start = No_start;
+      crash_pivots = 0;
     }
   in
   match Lp.start lp with
-  | None -> (p, 0)
-  | Some cols when not crash -> ({ p with start = Pending cols }, 0)
+  | None -> p
+  | Some cols when not crash -> { p with start = Pending cols }
   | Some cols -> (
       with_scratch ~m ~ncols @@ fun s ->
       let st = state_of p s in
       restore st identity;
       match try_crash st cols with
-      | Some k -> ({ p with start = Taken (snapshot st) }, k)
-      | None -> ({ p with start = Refused }, 0))
+      | Some k -> { p with start = Taken (snapshot st); crash_pivots = k }
+      | None -> { p with start = Refused })
 
 type counters = {
   solves_c : Obs.Metrics.counter;
@@ -727,9 +731,12 @@ let counters reg =
   in
   { solves_c; pivots_c; warm_attempts_c; warm_used_c }
 
+let count_crash p =
+  Obs.Metrics.add (counters (Obs.Metrics.current ())).pivots_c (float_of_int p.crash_pivots)
+
 let prepare lp =
-  let p, crash_pivots = prepare_uncounted ~crash:true lp in
-  Obs.Metrics.add (counters (Obs.Metrics.current ())).pivots_c (float_of_int crash_pivots);
+  let p = prepare_uncounted ~crash:true lp in
+  count_crash p;
   p
 
 (* [Lp.is_feasible ~tol] of the prepared rows at [x]: each row's terms
@@ -786,7 +793,7 @@ let solve_internal ?max_pivots ?warm ?prepared ~duals lp =
   let p =
     match prepared with
     | Some p -> p
-    | None -> fst (prepare_uncounted ~crash:false lp)
+    | None -> prepare_uncounted ~crash:false lp
   in
   let max_pivots =
     match max_pivots with Some v -> v | None -> 50_000 + (50 * (m + n))

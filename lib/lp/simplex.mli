@@ -33,9 +33,17 @@ val prepare : Lp.t -> prepared
 (** [prepare lp] builds the prepared start of [lp]'s rows and start;
     the objective is not read. Crash pivots count into
     [qp_simplex_pivots_total] here, once, however many solves use the
-    result. LPs of more than 65536 rows are refused with
+    result, and are recorded in it for {!count_crash}. LPs of more
+    than 65536 rows are refused with
     [Qp_util.Qp_error.Error (Internal _)] (the dense basis inverse
     alone would take 34 GB). *)
+
+val count_crash : prepared -> unit
+(** [count_crash p] counts the crash pivots of [p]'s start into
+    [qp_simplex_pivots_total] of the current registry, as {!prepare}
+    did when it built [p]: a start kept for later solves is charged to
+    each of them, so their counters do not depend on which solve built
+    it. *)
 
 val solve : ?max_pivots:int -> Lp.t -> outcome
 (** Solves [minimize c.x  s.t. rows, x >= 0]. [lp] is prepared first

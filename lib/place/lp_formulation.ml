@@ -69,13 +69,19 @@ let constraint_block system strategy caps =
   let loads = Strategy.loads system strategy in
   let var_elem = var_elem ~nu and var_quorum = var_quorum ~n ~nu ~nq in
   let lp = Lp.create ((n * nu) + (n * nq)) in
+  (* Each unit term is made once and shared by the rows that use it
+     ([Lp.add_constraint] keeps a pair mentioned once), so a kept block
+     holds one list cell per term. *)
+  let elem_pos = Array.init n (fun t -> Array.init nu (fun u -> (var_elem t u, 1.))) in
+  let elem_neg = Array.init n (fun t -> Array.init nu (fun u -> (var_elem t u, -1.))) in
+  let quorum_pos = Array.init n (fun t -> Array.init nq (fun q -> (var_quorum t q, 1.))) in
   (* (10) each element placed once. *)
   for u = 0 to nu - 1 do
-    Lp.add_constraint lp (List.init n (fun t -> (var_elem t u, 1.))) Lp.Eq 1.
+    Lp.add_constraint lp (List.init n (fun t -> elem_pos.(t).(u))) Lp.Eq 1.
   done;
   (* (11) each quorum completes once. *)
   for q = 0 to nq - 1 do
-    Lp.add_constraint lp (List.init n (fun t -> (var_quorum t q, 1.))) Lp.Eq 1.
+    Lp.add_constraint lp (List.init n (fun t -> quorum_pos.(t).(q))) Lp.Eq 1.
   done;
   (* (12) capacity per node and (13) oversize pinning. *)
   for t = 0 to n - 1 do
@@ -83,7 +89,7 @@ let constraint_block system strategy caps =
     let terms = ref [] in
     for u = 0 to nu - 1 do
       if loads.(u) > cap +. 1e-12 then
-        Lp.add_constraint lp [ (var_elem t u, 1.) ] Lp.Le 0.
+        Lp.add_constraint lp [ elem_pos.(t).(u) ] Lp.Le 0.
       else if loads.(u) > 0. then terms := (var_elem t u, loads.(u)) :: !terms
     done;
     if !terms <> [] then Lp.add_constraint lp !terms Lp.Le cap
@@ -97,8 +103,8 @@ let constraint_block system strategy caps =
         (fun u ->
           for t = 0 to n - 2 do
             let terms =
-              List.init (t + 1) (fun st -> (var_quorum st q, 1.))
-              @ List.init (t + 1) (fun st -> (var_elem st u, -1.))
+              List.init (t + 1) (fun st -> quorum_pos.(st).(q))
+              @ List.init (t + 1) (fun st -> elem_neg.(st).(u))
             in
             Lp.add_constraint lp terms Lp.Le 0.
           done)
@@ -118,6 +124,59 @@ let constraint_block system strategy caps =
 
 let caps_by_rank capacities node_of_rank = Array.map (fun v -> capacities.(v)) node_of_rank
 
+(* Shared blocks are kept across solves, keyed by everything
+   [constraint_block] reads, in a bounded LRU map: instances of one
+   shape, and re-solves of one live instance, read the same block.
+   Blocks above [max_cached_rows] rows are not kept, as the simplex
+   does not keep its scratch above that size. The prepared starts are
+   read-only, so the solves of several domains share them; the lock
+   guards only the map and its counts. *)
+let block_cache_capacity = 4
+let max_cached_rows = 512
+let cache = Qp_util.Lru.create ~capacity:block_cache_capacity
+let cache_lock = Mutex.create ()
+let cache_hits = ref 0
+let cache_misses = ref 0
+
+(* The universe, the quorums, the strategy and [caps], marshalled
+   without sharing: equal strings for equal values, floats by their
+   bits, and the key owns its copy of the caller's arrays. *)
+let block_key system strategy caps =
+  Marshal.to_string
+    (Quorum.universe system, Quorum.quorums system, strategy, caps)
+    [ Marshal.No_sharing ]
+
+(* The block of [caps] with its prepared start, from the cache or built
+   and prepared here. Its crash pivots count in the current registry
+   either way ([Simplex.prepare] counts them on a miss), so a solve's
+   counters do not depend on what earlier solves left cached. *)
+let shared_block system strategy caps =
+  let key = block_key system strategy caps in
+  let cached =
+    Mutex.protect cache_lock (fun () ->
+        let found = Qp_util.Lru.find cache key in
+        incr (if Option.is_some found then cache_hits else cache_misses);
+        found)
+  in
+  match cached with
+  | Some ((_, prepared) as block) ->
+      Simplex.count_crash prepared;
+      block
+  | None ->
+      let rows = constraint_block system strategy caps in
+      let block = (rows, Simplex.prepare rows) in
+      if Lp.n_constraints rows <= max_cached_rows then
+        Mutex.protect cache_lock (fun () -> Qp_util.Lru.put cache key block);
+      block
+
+let block_cache_stats () = Mutex.protect cache_lock (fun () -> (!cache_hits, !cache_misses))
+
+let reset_block_cache () =
+  Mutex.protect cache_lock (fun () ->
+      Qp_util.Lru.clear cache;
+      cache_hits := 0;
+      cache_misses := 0)
+
 (* Constraint blocks keyed by their capacity-by-rank vector, each with
    its prepared simplex start. Only read once built, so pool workers
    share the table. *)
@@ -125,9 +184,8 @@ type blocks = (float array, Lp.t * Simplex.prepared) Hashtbl.t
 
 (* A vector used by one candidate only gets no block: that candidate
    builds and prepares its rows itself, on its pool worker, as without
-   blocks. The shared blocks are built and prepared here, serially, so
-   their crash pivots count in the caller's registry whatever the
-   worker count. *)
+   blocks. The shared blocks are taken here, serially, so their crash
+   pivots count in the caller's registry whatever the worker count. *)
 let blocks (p : Problem.qpp) candidates =
   let uses = Hashtbl.create 16 in
   List.iter
@@ -140,10 +198,9 @@ let blocks (p : Problem.qpp) candidates =
   let blocks = Hashtbl.create 4 in
   Hashtbl.iter
     (fun caps k ->
-      if k > 1 then begin
-        let rows = constraint_block p.Problem.system p.Problem.strategy caps in
-        Hashtbl.replace blocks caps (rows, Simplex.prepare rows)
-      end)
+      if k > 1 then
+        Hashtbl.replace blocks caps
+          (shared_block p.Problem.system p.Problem.strategy caps))
     uses;
   blocks
 

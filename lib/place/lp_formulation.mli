@@ -43,19 +43,35 @@ type blocks
     its {!Qp_lp.Simplex.prepared} start. Those rows depend on the
     source only through the capacity of the node at each rank, so
     sources with the same capacity-by-rank vector share one block: with
-    uniform capacities a solve builds, and crashes the first-fit start
-    of, one block, not one per source. Immutable once built, so the
-    candidates of a pool fan-out read it concurrently; meant to live
-    for one solve. *)
+    uniform capacities a solve takes, and charges the first-fit start
+    crash of, one block, not one per source. Immutable once built, so
+    the candidates of a pool fan-out read it concurrently; meant to
+    live for one solve. *)
 
 val blocks : Problem.qpp -> int list -> blocks
-(** [blocks p candidates] builds and prepares one block per
-    capacity-by-rank vector that two or more of [candidates] share,
-    counting the crash pivots of each start once, in the current
-    metrics registry. A candidate whose vector is its own builds its
-    rows when its LP is made ({!solve_warm}), so a solve where every
-    source ranks the capacities differently builds nothing up
-    front. *)
+(** [blocks p candidates] takes one block per capacity-by-rank vector
+    that two or more of [candidates] share, counting the crash pivots
+    of each start once, in the current metrics registry. Each block
+    comes from a process-wide cache of the last
+    {!block_cache_capacity} blocks used, keyed by the universe, the
+    quorums, the strategy and the capacity-by-rank vector (floats bit
+    for bit), or is built and prepared on a miss and kept if it has at
+    most 512 rows. Its crash pivots count on a hit as on a miss, so the
+    counters, like every output bit, do not depend on earlier solves.
+    A candidate whose vector is its own builds its rows when its LP is
+    made ({!solve_warm}), so a solve where every source ranks the
+    capacities differently takes nothing up front. *)
+
+val block_cache_capacity : int
+(** Blocks the cache of {!blocks} keeps at most (4); the least recently
+    used leaves first. *)
+
+val block_cache_stats : unit -> int * int
+(** [(hits, misses)] of the cache of {!blocks} since start or the last
+    {!reset_block_cache}. *)
+
+val reset_block_cache : unit -> unit
+(** Empties the cache of {!blocks} and zeroes its counts. *)
 
 val n_blocks : blocks -> int
 

@@ -791,12 +791,107 @@ let prop_prepared_start_same_bits =
                   own)
            [ refused () ])
 
+(* The triangle on two ranks of capacity [cap] (just above 1), element
+   loads 0.8/0.7/0.5: no first-fit start, so phase 1 runs; both
+   candidates share one block. *)
+let no_first_fit_qpp cap =
+  let system = Simple_qs.triangle () in
+  Problem.of_graph_qpp ~graph:(Generators.path 2) ~capacities:[| cap; cap |] ~system
+    ~strategy:(Strategy.of_weights system [| 0.5; 0.3; 0.2 |])
+    ()
+
+(* Everything a cold solve of [p] and a re-solve after node 0 dies,
+   warm from the first solve's bases, return or count: per step v0,
+   placement, the bits of objective, z* and lower bound, and the bases,
+   then every qp_simplex_* series. *)
+let solve_record (p : Problem.qpp) =
+  let reg = Metrics.create ~enabled:true () in
+  let outcome (r, bases) =
+    ( Option.map
+        (fun r ->
+          let bits = Int64.bits_of_float in
+          ( r.Qpp_solver.v0,
+            r.Qpp_solver.placement,
+            List.map bits [ r.Qpp_solver.objective; r.Qpp_solver.ssqpp.Rounding.z_star ],
+            Option.map bits r.Qpp_solver.lower_bound ))
+        r,
+      bases )
+  in
+  let caps = Array.copy p.Problem.capacities in
+  caps.(0) <- 0.;
+  let steps =
+    Metrics.with_current reg (fun () ->
+        let first = Qpp_solver.solve_warm ~alpha:2. ~warm:(fun _ -> None) p in
+        let warm v0 = List.assoc_opt v0 (snd first) in
+        let second =
+          Qpp_solver.solve_warm ~alpha:2. ~warm { p with Problem.capacities = caps }
+        in
+        [ outcome first; outcome second ])
+  in
+  let simplex (key, _) = String.starts_with ~prefix:"qp_simplex_" key in
+  (steps, List.filter simplex (Metrics.scalar_series reg))
+
+(* What earlier solves leave in the process-wide block cache changes no
+   later solve. The instances: a seeded waxman instance, uniform or
+   with one node's capacity halved (shared and own blocks); the same
+   under another strategy, whose blocks differ from its only in their
+   loads; one with no first-fit start. At pool widths 1 and 3, each is
+   solved into an empty cache and then again with its blocks cached;
+   they are solved one after the other into one cache; and the first is
+   solved once more after other blocks have evicted its own. Every
+   record is the first one's. *)
+let prop_block_cache_changes_nothing =
+  QCheck.Test.make ~name:"earlier solves and the LP block cache change nothing" ~count:10
+    QCheck.small_int (fun seed ->
+      let p = prepared_qpp seed in
+      let nq = Quorum.n_quorums p.Problem.system in
+      let weights = Array.init nq (fun q -> 1. +. (0.1 *. float_of_int (q mod 2))) in
+      let instances =
+        [ p; { p with Problem.strategy = Strategy.of_weights p.Problem.system weights };
+          no_first_fit_qpp 1.05 ]
+      in
+      let hits () = fst (Lp_formulation.block_cache_stats ()) in
+      let at_width jobs =
+        Qp_par.Pool.set_default_jobs jobs;
+        Fun.protect ~finally:(fun () -> Qp_par.Pool.set_default_jobs 1) @@ fun () ->
+        let cold =
+          List.map
+            (fun p ->
+              Lp_formulation.reset_block_cache ();
+              solve_record p)
+            instances
+        in
+        let again =
+          List.map
+            (fun p ->
+              Lp_formulation.reset_block_cache ();
+              ignore (solve_record p);
+              let hits_before = hits () in
+              let record = solve_record p in
+              (record, hits () > hits_before))
+            instances
+        in
+        Lp_formulation.reset_block_cache ();
+        let in_turn = List.map solve_record instances in
+        for k = 1 to Lp_formulation.block_cache_capacity do
+          ignore (Qpp_solver.solve (no_first_fit_qpp (1.05 +. (0.01 *. float_of_int k))))
+        done;
+        let hits_before = hits () in
+        let evicted = solve_record p in
+        List.exists snd again
+        && List.map fst again = cold
+        && in_turn = cold && evicted = List.hd cold
+        && hits () = hits_before
+      in
+      at_width 1 && at_width 3)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_thm37_random; prop_grid_concentric_optimal;
       prop_majority_any_placement_same_delay; prop_scale_invariance;
       prop_start_matches_startless; prop_prepared_start_same_bits;
+      prop_block_cache_changes_nothing;
     ]
 
 let suites =

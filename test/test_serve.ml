@@ -1123,10 +1123,12 @@ let test_cache_eviction_bound () =
 
 let test_pooled_deadline_cancellation () =
   with_server ~tweak:(fun c -> { c with Server.jobs = 4 }) @@ fun port ->
-  (* A carries a 1 ms budget the default-instance solve cannot meet —
-     it must come back deadline_exceeded (cancelled mid-solve on its
-     worker, or at dispatch if the queue already ate the budget). B
-     runs concurrently with no deadline on another worker and must be
+  (* A carries a 1 ms budget that its solve cannot meet (16 nodes,
+     grid:3: some 300 ms, and LP blocks above the size the block cache
+     keeps, so no earlier solve makes it faster) — it must come back
+     deadline_exceeded (cancelled mid-solve on its worker, or at
+     dispatch if the queue already ate the budget). B runs
+     concurrently with no deadline on another worker and must be
      untouched: the deadline is domain-local, not process-global. *)
   let fd_a = connect_raw port and fd_b = connect_raw port in
   Fun.protect
@@ -1139,6 +1141,7 @@ let test_pooled_deadline_cancellation () =
     Json.to_string
       (Protocol.request_to_json
          (Protocol.request ~id:(Json.Int 1)
+            ~spec:{ test_spec with Spec.nodes = 16; system = "grid:3" }
             ~options:
               { Protocol.default_options with Protocol.deadline_ms = Some 1 }
             Protocol.Solve))
