@@ -1,4 +1,4 @@
-type mat = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type mat = Dijkstra.mat
 
 let record_work ~heap_pops ~tree_rows =
   let add name help v =
@@ -15,14 +15,7 @@ let repeated_dijkstra_into ?pool g (d : mat) =
   (* Each source writes only its own row, so concurrent chunks touch
      disjoint slices of the shared flat matrix. *)
   let c = Dijkstra.csr_of_graph g in
-  let _, heap_pops =
-    Dijkstra.rows pool c (fun src row ->
-        let off = src * n in
-        for j = 0 to n - 1 do
-          Bigarray.Array1.unsafe_set d (off + j) (Array.unsafe_get row j)
-        done;
-        true)
-  in
+  let heap_pops = Dijkstra.rows_into pool c d in
   record_work ~heap_pops ~tree_rows:(if Dijkstra.is_tree c then n else 0)
 
 let floyd_warshall g =

@@ -11,9 +11,9 @@ type mat = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     [i * n + j]. *)
 
 val repeated_dijkstra_into : ?pool:Qp_par.Pool.t -> Graph.t -> mat -> unit
-(** Distance matrix by {!Dijkstra.rows} (the tree walk on a tree, else
-    the unboxed heap), written into a caller-supplied flat matrix of
-    dimension [n * n]; [infinity] for unreachable pairs. Rows are
+(** Distance matrix by {!Dijkstra.rows_into} (the preorder pass on a
+    tree, else the unboxed heap), written into a caller-supplied flat
+    matrix of dimension [n * n]; [infinity] for unreachable pairs. Rows are
     independent, so the matrix is bit-identical for any width of
     [pool] (default: {!Qp_par.Pool.default}). Adds the call's heap
     pops and walked rows to the current registry's

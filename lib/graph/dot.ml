@@ -11,7 +11,3 @@ let of_graph ?label ?(highlight = []) g =
       Buffer.add_string buf (Printf.sprintf "  %d -- %d [label=\"%.2f\"];\n" u v len));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let to_file path dot =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc dot)

@@ -4,6 +4,3 @@
 val of_graph : ?label:(int -> string) -> ?highlight:int list -> Graph.t -> string
 (** Renders an undirected graph. [label] overrides vertex labels;
     [highlight] vertices are filled. *)
-
-val to_file : string -> string -> unit
-(** [to_file path dot] writes the DOT source to a file. *)

@@ -65,12 +65,7 @@ let is_connected g =
   iter_edges g (fun u v _ -> ignore (Union_find.union uf u v));
   Union_find.n_classes uf <= 1
 
-let copy g = { n = g.n; adj = Array.copy g.adj; m = g.m }
-
 let of_edges n es =
   let g = create n in
   List.iter (fun (u, v, len) -> add_edge g u v len) es;
   g
-
-let pp ppf g =
-  Format.fprintf ppf "graph(n=%d, m=%d)" g.n g.m

@@ -30,9 +30,6 @@ val iter_edges : t -> (int -> int -> float -> unit) -> unit
 val edges : t -> (int * int * float) list
 val degree : t -> int -> int
 val is_connected : t -> bool
-val copy : t -> t
 
 val of_edges : int -> (int * int * float) list -> t
 (** [of_edges n es] builds a graph on [n] vertices from an edge list. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,6 @@
 (** Structural graph/metric properties used by experiments and the
     CLI: eccentricities, radius/diameter, center, 1-median. *)
 
-val eccentricities : Metric.t -> float array
-(** [ecc.(v)] = max distance from [v]. *)
-
 val radius : Metric.t -> float
 val diameter : Metric.t -> float
 val center : Metric.t -> int

@@ -149,24 +149,19 @@ let mst_parent t =
   end;
   parent
 
-(* [if dm > 1. then dm else 1.] is [Float.max 1. dm] for every non-NaN
-   dm, without its sign-bit calls; a NaN dm makes the difference NaN,
-   which passes either way. *)
-let row_agrees t s row ~tol =
-  let n = t.n in
-  if s < 0 || s >= n || Array.length row <> n then
-    invalid_arg "Metric.row_agrees: row or source out of range";
-  let srow = s * n in
-  let v = ref 0 in
-  while
-    !v < n
-    &&
-    let dm = Bigarray.Array1.unsafe_get t.d (srow + !v) in
-    not (Float.abs (Array.unsafe_get row !v -. dm) > tol *. (if dm > 1. then dm else 1.))
-  do
-    incr v
-  done;
-  !v = n
+(* The tree of [parent] with edge {parent c, c} of length d(parent c, c)
+   in both directions, its path metric formed by the APSP's tree
+   kernel and compared with the matrix as each entry is produced. *)
+let agrees_with_tree ?pool t parent ~tol =
+  let pool = match pool with Some p -> p | None -> Qp_par.Pool.default () in
+  if Array.length parent <> t.n then
+    invalid_arg "Metric.agrees_with_tree: parent array of the wrong size";
+  let len =
+    Array.mapi
+      (fun c p -> if p < 0 then 0. else Bigarray.Array1.get t.d ((p * t.n) + c))
+      parent
+  in
+  Dijkstra.tree_agrees pool (Dijkstra.rooted_of_parents parent len) t.d ~tol
 
 let weighted_max_sum t rates a b =
   let n = t.n and d = t.d in
@@ -184,6 +179,24 @@ let weighted_max_sum t rates a b =
                 (Bigarray.Array1.unsafe_get d ((v * n) + b))
   done;
   !acc
+
+(* Row v adds r_v·d(v,a) into every a, rows in increasing v from 0.:
+   per a the operations of [weighted_max_sum t rates a a], since
+   [Float.max x x = x], read row by row instead of one column each. *)
+let one_center_sums t rates =
+  let n = t.n and d = t.d in
+  if Array.length rates <> n then
+    invalid_arg "Metric.one_center_sums: rates out of range";
+  let acc = Array.make n 0. in
+  for v = 0 to n - 1 do
+    let r = Array.unsafe_get rates v and vrow = v * n in
+    if r > 0. then
+      for a = 0 to n - 1 do
+        Array.unsafe_set acc a
+          (Array.unsafe_get acc a +. (r *. Bigarray.Array1.unsafe_get d (vrow + a)))
+      done
+  done;
+  acc
 
 (* [Float.max] and the sum in member order from 0., as the per-member
    [dist] loops they replace, so every result is bit-identical. *)
@@ -524,15 +537,10 @@ let of_graph_delta ?(cache = true) ~base ~base_graph g =
                       (match Graph.edge_length g u v with
                       | Some w_new -> (u, v, w_new) :: keep
                       | None -> keep);
-                    let c = Dijkstra.csr_of_edges n (Array.of_list !work) in
-                    let _, pops =
-                      Dijkstra.rows ~sources:(Array.of_list rows)
-                        (Qp_par.Pool.default ()) c (fun i row ->
-                          for j = 0 to n - 1 do
-                            Bigarray.Array1.unsafe_set d ((i * n) + j)
-                              (Array.unsafe_get row j)
-                          done;
-                          true)
+                    let c = Dijkstra.csr_of_graph (Graph.of_edges n !work) in
+                    let pops =
+                      Dijkstra.rows_into ~sources:(Array.of_list rows)
+                        (Qp_par.Pool.default ()) c d
                     in
                     heap_pops := !heap_pops + pops;
                     if Dijkstra.is_tree c then tree_rows := !tree_rows + List.length rows;
@@ -662,5 +670,3 @@ let submetric t keep =
     done
   done;
   { n = k; d }
-
-let pp ppf t = Format.fprintf ppf "metric(n=%d, diam=%.3f)" t.n (diameter t)

@@ -54,11 +54,16 @@ val mst_parent : t -> int array
     the first vertex of least key joins next, and a key drops only on
     a strictly shorter edge. On a tree metric it is the tree. *)
 
-val row_agrees : t -> int -> float array -> tol:float -> bool
-(** [row_agrees m s row ~tol] holds unless some [v] has
-    [|row.(v) - dist m s v| > tol * max 1 (dist m s v)].
-    @raise Invalid_argument unless [s] is a vertex and
-    [Array.length row = size m]. *)
+val agrees_with_tree : ?pool:Qp_par.Pool.t -> t -> int array -> tol:float -> bool
+(** [agrees_with_tree m parent ~tol] holds unless some pair [(s, v)]
+    has [|p(s,v) - dist m s v| > tol * max 1 (dist m s v)], where [p]
+    is the path metric of the tree [parent] ([-1] for the root [0])
+    whose edge [{parent.(c), c}] has length [dist m parent.(c) c]. The
+    tree's rows come from {!Dijkstra.tree_agrees}, in chunks over
+    [pool] (default {!Qp_par.Pool.default}); the verdict does not
+    depend on its width.
+    @raise Invalid_argument unless [parent] is a tree rooted at [0]
+    over the vertices of [m]. *)
 
 val weighted_max_sum : t -> float array -> int -> int -> float
 (** [weighted_max_sum m r a b] is the sum over [v] with [r.(v) > 0], in
@@ -66,6 +71,12 @@ val weighted_max_sum : t -> float array -> int -> int -> float
     tree solver's unnormalised two-center cost.
     @raise Invalid_argument unless [a] and [b] are vertices and
     [Array.length r = size m]. *)
+
+val one_center_sums : t -> float array -> float array
+(** [one_center_sums m r] is the array of [weighted_max_sum m r a a]
+    for every [a], bit for bit: the sum over [v] with [r.(v) > 0], in
+    increasing [v], of [r.(v) * dist m v a], in one pass over the rows.
+    @raise Invalid_argument unless [Array.length r = size m]. *)
 
 val quorum_delay : t -> total:bool -> int -> int array -> int array -> float
 (** [quorum_delay m ~total v f q] folds [dist m v f.(q.(i))] over the
@@ -158,4 +169,3 @@ val submetric : t -> int array -> t
 (** [submetric m keep] restricts to the listed vertices (renumbered in
     array order). *)
 
-val pp : Format.formatter -> t -> unit

@@ -17,7 +17,8 @@ module Obs = Qp_obs
 
    a sum over one weighted two-center cost per quorum. M costs O(n)
    per node pair ({!Metric.weighted_max_sum}); the n one-center costs
-   M(v, v) are computed up front, the other pairs lazily and memoized,
+   M(v, v) are computed up front in one pass over the matrix rows
+   ({!Metric.one_center_sums}), the other pairs lazily and memoized,
    and the diametral pair of a quorum updates in O(1) per added
    element (the new pair is the farthest of the three candidate
    pairs).
@@ -34,7 +35,8 @@ module Obs = Qp_obs
    loop is pruned, not just v.
 
    Everything here trusts only the tree-metric property, which is
-   verified up front (MST reconstruction + O(n^2) distance check) —
+   verified up front (MST reconstruction + O(n^2) distance check over
+   the MST's preorder) —
    dispatch hints choose to TRY this solver, they are never trusted
    for correctness. *)
 
@@ -47,21 +49,12 @@ let verify_tol = 1e-6
 (* The minimum spanning tree of the complete distance graph (Prim,
    O(n^2), {!Metric.mst_parent}) is, on a genuine tree metric, the
    underlying tree. Check that summing its edges along tree paths
-   reproduces the whole matrix: the shortest-path kernel's tree walk
-   over a CSR of the MST, rows in chunks over the pool (deterministic:
-   each row is an independent boolean). *)
+   reproduces the whole matrix: the APSP's tree kernel over the MST's
+   preorder, each entry compared as it is produced, rows in chunks
+   over the pool (deterministic: each row is an independent boolean). *)
 let is_tree_metric ?pool metric =
-  let n = Metric.size metric in
-  if n <= 2 then true
-  else begin
-    let pool = match pool with Some p -> p | None -> Qp_par.Pool.default () in
-    let parent = Metric.mst_parent metric in
-    let edge i = (i + 1, parent.(i + 1), Metric.dist metric parent.(i + 1) (i + 1)) in
-    let mst = Qp_graph.Dijkstra.csr_of_edges n (Array.init (n - 1) edge) in
-    fst
-      (Qp_graph.Dijkstra.rows pool mst (fun s dist ->
-           Metric.row_agrees metric s dist ~tol:verify_tol))
-  end
+  Metric.size metric <= 2
+  || Metric.agrees_with_tree ?pool metric (Metric.mst_parent metric) ~tol:verify_tol
 
 (* ------------------------------------------------------------------ *)
 (* Exact branch-and-bound                                              *)
@@ -96,9 +89,12 @@ let search ?node_budget (p : Problem.qpp) =
     | None -> (Array.make n 1., float_of_int n)
   in
   (* Weighted two-center costs M(a,b): the one-center costs A(v) =
-     M(v,v) up front, the others lazily, keyed min*n+max. *)
+     M(v,v) up front in one pass over the rows, the others lazily,
+     keyed min*n+max. *)
   let cost a b = Metric.weighted_max_sum metric rates a b /. total_rate in
-  let one_center = Array.init n (fun v -> cost v v) in
+  let one_center =
+    Array.map (fun s -> s /. total_rate) (Metric.one_center_sums metric rates)
+  in
   let m_memo : (int, float) Hashtbl.t = Hashtbl.create 256 in
   let two_center a b =
     if a = b then one_center.(a)

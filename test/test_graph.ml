@@ -256,8 +256,24 @@ let topology_families =
   List.map (fun t -> (t, 0)) [ "tree"; "path"; "star"; "waxman"; "geometric" ]
   @ List.map (fun r -> ("region:" ^ r, 9)) (Qp_instance.Region.names ())
 
-(* Every cell of the flat metric, tree walk or heap, carries the
-   oracle's exact bits at pool widths 1 and 3. *)
+(* Every cell of the flat metric of [g], tree pass or heap, carries
+   the oracle's exact bits at pool widths 1 and 3. *)
+let matches_textbook g =
+  let n = Graph.n_vertices g in
+  let oracle = Array.init n (textbook_dijkstra g) in
+  List.for_all
+    (fun jobs ->
+      let m = with_default_jobs jobs (fun () -> Metric.of_graph ~cache:false g) in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if Int64.bits_of_float (Metric.dist m i j) <> Int64.bits_of_float oracle.(i).(j)
+          then ok := false
+        done
+      done;
+      !ok)
+    [ 1; 3 ]
+
 let prop_metric_equals_textbook =
   QCheck.Test.make ~name:"Metric.of_graph = textbook Dijkstra bitwise"
     ~count:60
@@ -265,24 +281,31 @@ let prop_metric_equals_textbook =
               (int_range 1 40) small_int)
     (fun (fam, n, seed) ->
       let name, extra = List.nth topology_families fam in
-      let n = n + extra in
-      match Qp_instance.Spec.build_topology name n (Rng.create seed) with
+      match Qp_instance.Spec.build_topology name (n + extra) (Rng.create seed) with
       | Error _ -> QCheck.assume_fail ()
-      | Ok g ->
-          let oracle = Array.init n (textbook_dijkstra g) in
-          List.for_all
-            (fun jobs ->
-              let m = with_default_jobs jobs (fun () -> Metric.of_graph ~cache:false g) in
-              let ok = ref true in
-              for i = 0 to n - 1 do
-                for j = 0 to n - 1 do
-                  if Int64.bits_of_float (Metric.dist m i j)
-                     <> Int64.bits_of_float oracle.(i).(j)
-                  then ok := false
-                done
-              done;
-              !ok)
-            [ 1; 3 ])
+      | Ok g -> matches_textbook g)
+
+(* Trees at the benchmark's size with labels shuffled, so the preorder
+   is not the id order: random trees, paths (the longest path up to
+   the root) and stars (the shortest), lengths spread over six decades
+   so that a sum formed in another order changes bits. *)
+let random_labelled_tree rng n =
+  let label = Rng.permutation rng n in
+  let len () = (0.1 +. Rng.float rng 1.) *. (10. ** float_of_int (Rng.int rng 6 - 3)) in
+  let g = Graph.create n in
+  let shape = Rng.int rng 3 and hub = Rng.int rng n in
+  for v = 1 to n - 1 do
+    let u = match shape with 0 -> Rng.int rng v | 1 -> v - 1 | _ -> 0 in
+    if shape = 2 then Graph.add_edge g hub ((hub + v) mod n) (len ())
+    else Graph.add_edge g label.(u) label.(v) (len ())
+  done;
+  g
+
+let prop_tree_rows_equal_textbook =
+  QCheck.Test.make ~name:"tree rows = textbook Dijkstra bitwise up to n = 300"
+    ~count:30
+    QCheck.(pair (int_range 1 300) small_int)
+    (fun (n, seed) -> matches_textbook (random_labelled_tree (Rng.create seed) n))
 
 let apsp_work g =
   let n = Graph.n_vertices g in
@@ -299,6 +322,36 @@ let test_apsp_tree_walk_counters () =
     (pops, walked);
   let _, pops, walked = apsp_work (Generators.cycle 30) in
   Alcotest.(check bool) "cycle: heap rows" true (pops > 0 && walked = 0)
+
+(* A lengthened tree edge re-runs the rows whose paths crossed it —
+   on a tree every row — from the preorder, straight into the copied
+   matrix: no heap pops, and the distances of a fresh APSP. *)
+let test_tree_delta_rows () =
+  let n = 200 in
+  let g = Generators.random_tree (Rng.create 5) n in
+  let base = Metric.of_graph ~cache:false g in
+  let edges = Graph.edges g in
+  let u0, v0, w0 = List.nth edges 17 in
+  let g' =
+    Graph.of_edges n
+      ((u0, v0, w0 *. 3.) :: List.filter (fun (a, b, _) -> (a, b) <> (u0, v0)) edges)
+  in
+  let reg = Qp_obs.Metrics.create () in
+  let inc =
+    Qp_obs.Metrics.with_current reg (fun () ->
+        Metric.of_graph_delta ~cache:false ~base ~base_graph:g g')
+  in
+  let fresh = Metric.of_graph ~cache:false g' in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Alcotest.(check (float 1e-9)) "delta = fresh" (Metric.dist fresh i j)
+        (Metric.dist inc i j)
+    done
+  done;
+  let series = Qp_obs.Metrics.scalar_series reg in
+  let get name = int_of_float (List.assoc name series) in
+  Alcotest.(check (pair int int)) "no heap, every row re-run" (0, n)
+    (get "qp_apsp_heap_pops_total", get "qp_apsp_tree_rows_total")
 
 (* n - 1 edges but disconnected: a triangle plus an isolated vertex has
    a cycle, so the kernel must not walk it. *)
@@ -492,7 +545,7 @@ let prop_mst_weight_leq_any_spanning_subgraph =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_dijkstra_triangle; prop_mst_weight_leq_any_spanning_subgraph;
-      prop_metric_equals_textbook ]
+      prop_metric_equals_textbook; prop_tree_rows_equal_textbook ]
 
 let suites =
   [
@@ -515,6 +568,7 @@ let suites =
         Alcotest.test_case "parents = generic-heap Dijkstra" `Quick
           test_parents_match_heap_dijkstra;
         Alcotest.test_case "tree walk work counters" `Quick test_apsp_tree_walk_counters;
+        Alcotest.test_case "tree delta rows" `Quick test_tree_delta_rows;
         Alcotest.test_case "disconnected n-1 edges terminates" `Quick
           test_apsp_disconnected_n_minus_1_edges;
       ] );

@@ -468,22 +468,46 @@ let old_mst_parent metric =
   done;
   parent
 
+(* The tree check before the preorder kernel: a stack walk from each
+   source over the MST's adjacency lists, then a separate compare pass
+   over the row. Kept here so the oracle shares no code with the
+   kernel under test. *)
 let old_is_tree_metric metric =
   let n = Metric.size metric in
   if n <= 2 then true
   else begin
     let parent = old_mst_parent metric in
-    let edge i = (i + 1, parent.(i + 1), Metric.dist metric parent.(i + 1) (i + 1)) in
-    let mst = Qp_graph.Dijkstra.csr_of_edges n (Array.init (n - 1) edge) in
-    fst
-      (Qp_graph.Dijkstra.rows (Qp_par.Pool.default ()) mst (fun s dist ->
-           let ok = ref true in
-           for v = 0 to n - 1 do
-             let dm = Metric.unsafe_dist metric s v in
-             if Float.abs (dist.(v) -. dm) > 1e-6 *. Float.max 1. dm then
-               ok := false
-           done;
-           !ok))
+    let adj = Array.make n [] in
+    for c = 1 to n - 1 do
+      let p = parent.(c) in
+      let l = Metric.dist metric p c in
+      adj.(c) <- (p, l) :: adj.(c);
+      adj.(p) <- (c, l) :: adj.(p)
+    done;
+    let dist = Array.make n 0. and from = Array.make n (-1) in
+    let ok = ref true in
+    for s = 0 to n - 1 do
+      dist.(s) <- 0.;
+      from.(s) <- -1;
+      let stack = ref [ s ] in
+      while !stack <> [] do
+        let v = List.hd !stack in
+        stack := List.tl !stack;
+        List.iter
+          (fun (w, l) ->
+            if w <> from.(v) then begin
+              dist.(w) <- dist.(v) +. l;
+              from.(w) <- v;
+              stack := w :: !stack
+            end)
+          adj.(v)
+      done;
+      for v = 0 to n - 1 do
+        let dm = Metric.unsafe_dist metric s v in
+        if Float.abs (dist.(v) -. dm) > 1e-6 *. Float.max 1. dm then ok := false
+      done
+    done;
+    !ok
   end
 
 let old_two_center_sum metric rates a b =
@@ -577,7 +601,7 @@ let prop_tree_verdict_as_before =
   QCheck.Test.make ~name:"is_tree_metric = the old row loop on trees and perturbed trees"
     ~count:300 QCheck.int (fun seed ->
       let rng = Rng.create seed in
-      let n = 1 + Rng.int rng 40 in
+      let n = 1 + Rng.int rng 300 in
       let m = Metric.of_graph ~cache:false (Qp_graph.Generators.random_tree rng n) in
       let d = Array.init n (fun a -> Array.init n (Metric.dist m a)) in
       let i = Rng.int rng n and j = Rng.int rng n in
@@ -591,27 +615,48 @@ let prop_tree_verdict_as_before =
 (* Random rates, some zero, over tree metrics and over matrices a
    relative 1e-12 off symmetry, so that summing in another order or
    reading d(a, v) for d(v, a) changes bits. *)
+let rated_metric rng n =
+  let m =
+    let t = Metric.of_graph ~cache:false (Qp_graph.Generators.random_tree rng n) in
+    if Rng.bool rng then t
+    else
+      Metric.of_matrix
+        (Array.init n (fun a ->
+             Array.init n (fun b ->
+                 let x = Metric.dist t a b in
+                 if a > b then x *. (1. +. 1e-12) else x)))
+  in
+  let rates =
+    Array.init n (fun _ -> if Rng.int rng 4 = 0 then 0. else Rng.float rng 3.)
+  in
+  (m, rates)
+
 let prop_two_center_bits_as_before =
   QCheck.Test.make ~name:"Metric.weighted_max_sum = the old two-center loop bitwise"
     ~count:300 QCheck.int (fun seed ->
       let rng = Rng.create seed in
       let n = 1 + Rng.int rng 40 in
-      let m =
-        let t = Metric.of_graph ~cache:false (Qp_graph.Generators.random_tree rng n) in
-        if Rng.bool rng then t
-        else
-          Metric.of_matrix
-            (Array.init n (fun a ->
-                 Array.init n (fun b ->
-                     let x = Metric.dist t a b in
-                     if a > b then x *. (1. +. 1e-12) else x)))
-      in
-      let rates =
-        Array.init n (fun _ -> if Rng.int rng 4 = 0 then 0. else Rng.float rng 3.)
-      in
+      let m, rates = rated_metric rng n in
       let a = Rng.int rng n and b = Rng.int rng n in
       Int64.bits_of_float (Metric.weighted_max_sum m rates a b)
       = Int64.bits_of_float (old_two_center_sum m rates a b))
+
+(* The one-center pass reads d(v, a) row by row where
+   [weighted_max_sum] walks column a: reading d(a, v) instead would
+   change bits on the asymmetric matrices, and so would summing the
+   terms in another order. *)
+let prop_one_center_bits =
+  QCheck.Test.make ~name:"Metric.one_center_sums = weighted_max_sum m r v v bitwise"
+    ~count:100 QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 300 in
+      let m, rates = rated_metric rng n in
+      let sums = Metric.one_center_sums m rates in
+      Array.length sums = n
+      && Array.for_all Fun.id
+           (Array.init n (fun v ->
+                Int64.bits_of_float sums.(v)
+                = Int64.bits_of_float (Metric.weighted_max_sum m rates v v))))
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -619,7 +664,7 @@ let qcheck_tests =
       prop_blocked_fw_multiblock; prop_dijkstra_into_equals_boxed;
       prop_tree_equals_exhaustive; prop_tree_no_worse_than_lp;
       prop_tree_check_exact; prop_entry_check_as_before; prop_mst_parent_as_before;
-      prop_tree_verdict_as_before; prop_two_center_bits_as_before ]
+      prop_tree_verdict_as_before; prop_two_center_bits_as_before; prop_one_center_bits ]
 
 let suites =
   [
