@@ -46,11 +46,3 @@ let solve (g : Gap.t) =
         done
       done;
       Some { y; lp_cost = objective }
-
-let fractional_loads (g : Gap.t) y =
-  Array.init g.n_machines (fun i ->
-      let acc = ref 0. in
-      for j = 0 to g.n_jobs - 1 do
-        if y.(i).(j) > 0. then acc := !acc +. (g.load.(i).(j) *. y.(i).(j))
-      done;
-      !acc)

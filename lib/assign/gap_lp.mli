@@ -12,6 +12,3 @@ type fractional = {
 
 val solve : Gap.t -> fractional option
 (** [None] when the relaxation is infeasible (budgets too tight). *)
-
-val fractional_loads : Gap.t -> float array array -> float array
-(** Per-machine load of a fractional solution. *)

@@ -58,20 +58,8 @@ let minmax_optimal_design metric =
   in
   Quorum.make ~universe:n (Array.init n ball)
 
-let one_median metric =
-  let n = Metric.size metric in
-  let best = ref 0 and best_cost = ref infinity in
-  for m = 0 to n - 1 do
-    let c = Metric.average_distance metric m in
-    if c < !best_cost then begin
-      best_cost := c;
-      best := m
-    end
-  done;
-  !best
-
 let lin_median_design metric =
-  let m = one_median metric in
+  let m = Qp_graph.Graph_props.one_median metric in
   (m, Quorum.make ~universe:(Metric.size metric) [| [| m |] |])
 
 let minavg_lower_bound metric =

@@ -42,10 +42,6 @@ let neighbors g v =
   check_vertex g v "neighbors";
   g.adj.(v)
 
-let iter_neighbors g v f =
-  check_vertex g v "iter_neighbors";
-  List.iter (fun (w, len) -> f w len) g.adj.(v)
-
 let iter_edges g f =
   for u = 0 to g.n - 1 do
     List.iter (fun (v, len) -> if u < v then f u v len) g.adj.(u)

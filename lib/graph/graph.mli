@@ -23,7 +23,6 @@ val edge_length : t -> int -> int -> float option
 val neighbors : t -> int -> (int * float) list
 (** Neighbor list of a vertex with edge lengths. *)
 
-val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
 (** Each undirected edge visited once, with [u < v]. *)
 

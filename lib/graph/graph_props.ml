@@ -28,16 +28,3 @@ let one_median m =
     end
   done;
   !best
-
-let average_path_length m =
-  let n = Metric.size m in
-  if n < 2 then 0.
-  else begin
-    let acc = ref 0. in
-    for v = 0 to n - 1 do
-      for w = 0 to n - 1 do
-        if v <> w then acc := !acc +. Metric.dist m v w
-      done
-    done;
-    !acc /. float_of_int (n * (n - 1))
-  end

@@ -7,7 +7,7 @@ val center : Metric.t -> int
 (** A vertex with minimum eccentricity (smallest id on ties). *)
 
 val one_median : Metric.t -> int
-(** A vertex minimizing the average distance to all vertices. *)
-
-val average_path_length : Metric.t -> float
-(** Mean over ordered pairs (v <> v'). *)
+(** A vertex minimizing {!Metric.average_distance}, the unweighted
+    [AvgDist(v)]; the lowest id wins ties (strict [<] over increasing
+    [v]), and 0 for an empty metric. The hub of Lin's single-node
+    design and of [Baselines.lin_single_node]. *)

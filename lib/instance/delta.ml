@@ -6,14 +6,6 @@ type op =
   | Set_capacity of { node : int; cap : float }
   | Set_cap_slack of float
 
-let pp_op fmt = function
-  | Set_edge { u; v; length } ->
-      Format.fprintf fmt "set-edge %d-%d %.4g" u v length
-  | Remove_edge { u; v } -> Format.fprintf fmt "remove-edge %d-%d" u v
-  | Set_capacity { node; cap } ->
-      Format.fprintf fmt "set-capacity %d %.4g" node cap
-  | Set_cap_slack s -> Format.fprintf fmt "set-cap-slack %.4g" s
-
 let norm_edge u v = if u <= v then (u, v) else (v, u)
 
 let validate_op ~nodes op =

@@ -28,4 +28,3 @@ val validate : nodes:int -> op list -> (unit, Qp_util.Qp_error.t) result
 val norm_edge : int -> int -> int * int
 (** Canonical (min, max) endpoint order. *)
 
-val pp_op : Format.formatter -> op -> unit

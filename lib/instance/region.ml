@@ -95,8 +95,6 @@ let region_of_node t v =
   if v < 0 then invalid_arg "Region.region_of_node: negative node";
   v mod Array.length t.regions
 
-let region_name_of_node t v = t.regions.(region_of_node t v)
-
 let nodes_of_region t ~nodes r =
   if r < 0 || r >= Array.length t.regions then
     invalid_arg "Region.nodes_of_region: region out of range";

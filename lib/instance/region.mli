@@ -38,8 +38,6 @@ val region_of_node : t -> int -> int
     round-robin, so every prefix of node ids covers the regions as
     evenly as possible. *)
 
-val region_name_of_node : t -> int -> string
-
 val nodes_of_region : t -> nodes:int -> int -> int list
 (** [nodes_of_region t ~nodes r] — the node ids of region [r] in an
     [nodes]-node expansion, ascending. *)

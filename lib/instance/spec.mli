@@ -40,13 +40,6 @@ val canonical_key : t -> string
     specs differing only in [jobs] share a key. This is the spec
     component of the qp_serve placement-cache key. *)
 
-val is_tree_topology : t -> bool
-(** True when the spec's topology generator always emits a tree
-    (path, star, tree), making the instance metric a tree metric. *)
-
-val system_kind : t -> string
-(** The quorum-system family name: ["grid:3"] -> ["grid"]. *)
-
 val solver_hints :
   t -> Qp_place.Solver.topology_hint option * string option
 (** [(topology_hint, system_hint)] for {!Qp_place.Solver.params}: what

@@ -25,10 +25,6 @@ let set_objective t v c =
   check_var t v "set_objective";
   t.obj.(v) <- c
 
-let add_objective t v c =
-  check_var t v "add_objective";
-  t.obj.(v) <- t.obj.(v) +. c
-
 let objective t = Array.copy t.obj
 
 let with_objective t obj =

@@ -24,9 +24,6 @@ val set_objective : t -> int -> float -> unit
 (** [set_objective lp v c] sets the objective coefficient of variable
     [v] to [c] (overwrites). *)
 
-val add_objective : t -> int -> float -> unit
-(** Adds to the existing coefficient. *)
-
 val objective : t -> float array
 
 val with_objective : t -> float array -> t

@@ -64,16 +64,13 @@ val histogram :
   histogram
 (** Fixed-bucket histogram; [buckets] are strictly increasing finite
     upper bounds (inclusive, Prometheus [le] semantics) with an
-    implicit [+Inf] overflow bucket. Defaults to
-    {!default_buckets}. *)
+    implicit [+Inf] overflow bucket. Defaults to 24 bounds, 2x-spaced
+    from 1e-3 to ~8.4e3. *)
 
 val log_buckets : lo:float -> factor:float -> count:int -> float array
 (** [count] log-spaced bounds [lo, lo*factor, lo*factor^2, ...].
     @raise Invalid_argument unless [lo > 0], [factor > 1],
     [count >= 1]. *)
-
-val default_buckets : float array
-(** 24 bounds, 2x-spaced from 1e-3 to ~8.4e3. *)
 
 val inc : counter -> unit
 val add : counter -> float -> unit

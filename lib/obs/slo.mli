@@ -23,11 +23,9 @@ type config = {
   bucket_s : float;  (** time-bucket granularity *)
 }
 
-val default_objective : objective
-(** 99% of requests ok within 1s. *)
-
 val default_config : config
-(** {!default_objective} over 60s and 300s windows, 5s buckets. *)
+(** 99% of requests ok within 1s, over 60s and 300s windows, 5s
+    buckets. *)
 
 type t
 

@@ -216,9 +216,6 @@ let parallel_init ?chunk pool n f = run_indexed pool ~chunk n f
 let parallel_map ?chunk pool f arr =
   run_indexed pool ~chunk (Array.length arr) (fun i -> f arr.(i))
 
-let parallel_iter ?chunk pool f arr =
-  ignore (run_indexed pool ~chunk (Array.length arr) (fun i -> f arr.(i)))
-
 (* ------------------------------------------------------------------ *)
 (* Fire-and-forget submission                                          *)
 (* ------------------------------------------------------------------ *)

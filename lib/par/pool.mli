@@ -55,8 +55,6 @@ val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
     Same scheduling, telemetry and exception contract as
     {!parallel_init}. *)
 
-val parallel_iter : ?chunk:int -> t -> ('a -> unit) -> 'a array -> unit
-
 val async : t -> (unit -> unit) -> unit
 (** [async pool task] submits a single task with no join: the caller
     arranges its own completion signalling. Runs inline on the caller

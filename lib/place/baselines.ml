@@ -48,17 +48,8 @@ let greedy_closest (p : Problem.qpp) v0 =
       Array.find_opt (fun v -> residual.(v) +. 1e-12 >= load) by_distance)
 
 let lin_single_node (p : Problem.qpp) =
-  let n = Problem.n_nodes p in
-  let best = ref 0 in
-  let best_cost = ref infinity in
-  for v = 0 to n - 1 do
-    let c = Metric.average_distance p.Problem.metric v in
-    if c < !best_cost then begin
-      best_cost := c;
-      best := v
-    end
-  done;
-  (!best, Array.make (Problem.n_elements p) !best)
+  let hub = Qp_graph.Graph_props.one_median p.Problem.metric in
+  (hub, Array.make (Problem.n_elements p) hub)
 
 let local_search ?(max_steps = 1000) ~objective (p : Problem.qpp) start =
   Placement.validate p start;

@@ -32,4 +32,3 @@ let expand metric caps ~load ?(max_copies = 64) () =
     original_of_copy;
   }
 
-let project e f = Array.map (fun copy -> e.original_of_copy.(copy)) f

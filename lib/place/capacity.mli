@@ -21,5 +21,3 @@ val expand : Qp_graph.Metric.t -> float array -> load:float -> ?max_copies:int -
     @raise Invalid_argument if [load <= 0] or no node can hold any
     element. *)
 
-val project : expansion -> Placement.t -> Placement.t
-(** Maps a placement on the expanded metric back to original nodes. *)

@@ -92,9 +92,16 @@ let enumerate_placements (p : Problem.qpp) objective =
   let best_f = ref None in
   let f = Array.make nu 0 in
   let node_load = Array.make n 0. in
-  (* Depth-first over assignments with incremental load pruning. *)
+  let leaves = ref 0 in
+  (* Depth-first over assignments with incremental load pruning. Up to
+     two million leaves, each costing a full objective evaluation, run
+     for seconds: poll the domain-local deadline every 1024 leaves so a
+     served solve stays cancellable, as the tree branch-and-bound
+     does. *)
   let rec go u =
     if u = nu then begin
+      incr leaves;
+      if !leaves land 1023 = 0 then Qp_lp.Cancel.check_deadline ();
       let obj = objective f in
       if obj < !best then begin
         best := obj;

@@ -23,7 +23,11 @@ val ssqpp_brute_force : Problem.ssqpp -> (float * Placement.t) option
 
 val qpp_brute_force : Problem.qpp -> (float * Placement.t) option
 (** Exhaustive optimum of the full (all-clients) QPP objective; same
-    guard. *)
+    guard.
+
+    The three brute-force searches poll {!Qp_lp.Cancel.check_deadline}
+    every 1024 placements. @raise Qp_util.Qp_error.Error [(Internal _)]
+    once the calling domain's deadline has passed. *)
 
 val total_delay_brute_force : Problem.qpp -> (float * Placement.t) option
 (** Exhaustive optimum of [Avg_v Gamma_f(v)]; same guard. *)

@@ -43,11 +43,6 @@ let support flt u =
   Array.iteri (fun t row -> if row.(u) > 1e-12 then acc := t :: !acc) flt.x_hat_elem;
   List.rev !acc
 
-let max_rank_distance flt u =
-  List.fold_left
-    (fun best t -> Float.max best flt.sol.Lp_formulation.dist.(t))
-    0. (support flt u)
-
 let check_invariants flt =
   let n = Array.length flt.sol.Lp_formulation.dist in
   let nu = Array.length flt.x_hat_elem.(0) in

@@ -26,9 +26,6 @@ val support : filtered -> int -> int list
 (** [support flt u] = ranks [t] with [x_hat_tu > 0] — the set [S_u] of
     Lemma 3.9. *)
 
-val max_rank_distance : filtered -> int -> float
-(** Largest [d_t] over the support of an element. *)
-
 val check_invariants : filtered -> bool
 (** Test hook: filtered rows sum to 1, stay within [alpha * x], and
     every supported rank of a quorum satisfies the generalized

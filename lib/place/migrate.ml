@@ -244,9 +244,6 @@ let check (p : Problem.qpp) ~current ~target t =
   in
   walk current t.moves
 
-let pp_move ppf { elem; src; dst } =
-  Format.fprintf ppf "u%d: %d -> %d" elem src dst
-
 let pp ppf t =
   Format.fprintf ppf "plan(%d moves, %d drains, bound %.2f, peak %.2f)"
     (List.length t.moves) t.drains t.bound t.max_ratio

@@ -75,5 +75,4 @@ val apply_move : Placement.t -> move -> Placement.t
 val intermediates : current:Placement.t -> move list -> Placement.t list
 (** All prefix placements, one per move, ending with the final one. *)
 
-val pp_move : Format.formatter -> move -> unit
 val pp : Format.formatter -> plan -> unit

@@ -83,6 +83,17 @@ let qpp_of_ssqpp (s : ssqpp) =
 
 let element_loads (p : qpp) = Strategy.loads p.system p.strategy
 
+let avg_dist (p : qpp) v0 =
+  match p.client_rates with
+  | None -> Metric.average_distance p.metric v0
+  | Some rates ->
+      let total = Array.fold_left ( +. ) 0. rates in
+      let acc = ref 0. in
+      Array.iteri
+        (fun v r -> if r > 0. then acc := !acc +. (r *. Metric.dist p.metric v v0))
+        rates;
+      !acc /. total
+
 let capacity_feasible (p : qpp) =
   let loads = element_loads p in
   let total_load = Array.fold_left ( +. ) 0. loads in

@@ -65,6 +65,14 @@ val qpp_of_ssqpp : ssqpp -> qpp
 val element_loads : qpp -> float array
 (** load(u) induced by the strategy. *)
 
+val avg_dist : qpp -> int -> float
+(** [avg_dist p v0] = [AvgDist(v0) = Avg_v d(v, v0)]: the first term
+    of the relay bound (Eq. 8, Lemma 3.1) and the per-node cost of the
+    total-delay reduction (Section 5). With client rates it is
+    rate-weighted (Section 6): [sum_v r_v d(v, v0) / sum_v r_v], summed
+    over increasing [v] and skipping clients with [r_v <= 0]; without
+    rates it is {!Qp_graph.Metric.average_distance}. *)
+
 val capacity_feasible : qpp -> bool
 (** Necessary conditions: total capacity >= total load and every
     element fits somewhere ([min load <= max cap]). Not sufficient

@@ -1,4 +1,3 @@
-module Metric = Qp_graph.Metric
 module Obs = Qp_obs
 
 let log_src = Logs.Src.create "qp_place.qpp_solver" ~doc:"Theorem 1.2 solver"
@@ -66,20 +65,7 @@ let run ~alpha ?candidates ~round_of (p : Problem.qpp) =
                 m "candidate v0=%d: Z*=%.4f delay=%.4f objective=%.4f" v0
                   r.Rounding.z_star r.Rounding.delay objective);
             (* Lower-bound term uses Z*, not the rounded placement. *)
-            let avg_dist =
-              match p.Problem.client_rates with
-              | None -> Metric.average_distance p.Problem.metric v0
-              | Some rates ->
-                  let total = Array.fold_left ( +. ) 0. rates in
-                  let acc = ref 0. in
-                  Array.iteri
-                    (fun v rate ->
-                      if rate > 0. then
-                        acc := !acc +. (rate *. Metric.dist p.Problem.metric v v0))
-                    rates;
-                  !acc /. total
-            in
-            let term = (avg_dist +. r.Rounding.z_star) /. Relay.bound in
+            let term = (Problem.avg_dist p v0 +. r.Rounding.z_star) /. Relay.bound in
             (v0, Some (objective, term, r), basis))
       (Array.of_list candidates)
   in

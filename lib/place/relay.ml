@@ -1,5 +1,3 @@
-module Metric = Qp_graph.Metric
-
 type analysis = { v0 : int; direct : float; relayed : float; ratio : float }
 
 let bound = 5.
@@ -7,18 +5,7 @@ let bound = 5.
 let relay_delay_via (p : Problem.qpp) f v0 =
   (* Avg_v d(v, v0) + Delta_f(v0): Eq. (8). For rate-weighted clients
      the average over v is rate-weighted as in Section 6. *)
-  let avg_dist =
-    match p.Problem.client_rates with
-    | None -> Metric.average_distance p.Problem.metric v0
-    | Some rates ->
-        let total = Array.fold_left ( +. ) 0. rates in
-        let acc = ref 0. in
-        Array.iteri
-          (fun v r -> if r > 0. then acc := !acc +. (r *. Metric.dist p.Problem.metric v v0))
-          rates;
-        !acc /. total
-  in
-  avg_dist +. Delay.client_max_delay p f v0
+  Problem.avg_dist p v0 +. Delay.client_max_delay p f v0
 
 let analyze (p : Problem.qpp) f =
   let delays = Delay.all_client_max_delays p f in

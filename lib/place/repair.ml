@@ -48,7 +48,7 @@ let repair (p : Problem.qpp) f ~dead =
   (* Surviving nodes ordered by (rate-weighted) closeness to clients. *)
   let hosts =
     List.sort
-      (fun a b -> compare (Total_delay.avg_dist_to p' a) (Total_delay.avg_dist_to p' b))
+      (fun a b -> compare (Problem.avg_dist p' a) (Problem.avg_dist p' b))
       (List.filter (fun v -> not dead_set.(v)) (List.init n (fun v -> v)))
   in
   let patched = Array.copy f in

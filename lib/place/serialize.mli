@@ -25,7 +25,7 @@
     Floats are printed with ["%.17g"] so round-trips are exact.
 
     Solver outcomes ({!Outcome.t}) serialize to single-line JSON under
-    the versioned schema {!outcome_schema} (the [qplace solve
+    the versioned schema ["qp-solve/1"] (the [qplace solve
     --format json] output; cf. the [qp-bench/2] artifact schema).
     Finite floats round-trip exactly through {!Qp_obs.Json}.
 
@@ -56,9 +56,6 @@ val load_problem : string -> (Problem.qpp, Qp_util.Qp_error.t) result
     not parse. *)
 
 (** {2 Outcome JSON} *)
-
-val outcome_schema : string
-(** ["qp-solve/1"] — bumped on any shape change. *)
 
 val outcome_to_json : Outcome.t -> Qp_obs.Json.t
 

@@ -57,13 +57,6 @@ let find name =
 
 let find_exn name = List.find (fun s -> String.equal s.name name) !registry
 
-let solve_many ?(params = default_params) t problems =
-  Array.to_list
-    (Qp_par.Pool.parallel_map
-       (Qp_par.Pool.default ())
-       (fun p -> t.solve params p)
-       (Array.of_list problems))
-
 (* ------------------------------------------------------------------ *)
 (* Built-in solvers                                                    *)
 (* ------------------------------------------------------------------ *)

@@ -18,7 +18,6 @@ module Qp_error = Qp_util.Qp_error
 
 type kind = Approximation | Exact | Closed_form | Heuristic | Meta
 
-val kind_name : kind -> string
 
 type topology_hint = Tree_metric | General_metric
 (** What the front end knows about the instance's metric. Hints only
@@ -77,17 +76,6 @@ val find : string -> (t, Qp_error.t) result
 
 val find_exn : string -> t
 (** For callers that pass a literal name. @raise Not_found. *)
-
-val solve_many :
-  ?params:params ->
-  t ->
-  Problem.qpp list ->
-  (Outcome.t, Qp_error.t) result list
-(** Batch entry point: fans the instances out over
-    {!Qp_par.Pool.default}. Order-preserving and deterministic for
-    every worker count; each element runs against its own telemetry
-    registry, merged into the caller's in element order (the
-    {!Qp_par.Pool} scoping rules). *)
 
 val registry_table_markdown : unit -> string
 (** The algorithm table (name, kind, paper result, guarantees) as

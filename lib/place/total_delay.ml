@@ -1,4 +1,3 @@
-module Metric = Qp_graph.Metric
 module Gap = Qp_assign.Gap
 module St = Qp_assign.Shmoys_tardos
 
@@ -9,22 +8,11 @@ type result = {
   load_violation : float;
 }
 
-let avg_dist_to (p : Problem.qpp) v =
-  match p.Problem.client_rates with
-  | None -> Metric.average_distance p.Problem.metric v
-  | Some rates ->
-      let total = Array.fold_left ( +. ) 0. rates in
-      let acc = ref 0. in
-      Array.iteri
-        (fun v' r -> if r > 0. then acc := !acc +. (r *. Metric.dist p.Problem.metric v' v))
-        rates;
-      !acc /. total
-
 let to_gap (p : Problem.qpp) =
   let n = Problem.n_nodes p in
   let nu = Problem.n_elements p in
   let loads = Problem.element_loads p in
-  let avg = Array.init n (fun v -> avg_dist_to p v) in
+  let avg = Array.init n (fun v -> Problem.avg_dist p v) in
   let cost = Array.init n (fun v -> Array.init nu (fun u -> loads.(u) *. avg.(v))) in
   let load = Array.init n (fun _ -> Array.copy loads) in
   Gap.make ~cost ~load ~budget:(Array.copy p.Problem.capacities) ()
@@ -56,7 +44,7 @@ let exact_uniform (p : Problem.qpp) =
      AvgDist nodes first. *)
   let slots =
     Array.init n (fun v ->
-        (avg_dist_to p v, v, int_of_float (Float.floor ((p.Problem.capacities.(v) +. 1e-12) /. load))))
+        (Problem.avg_dist p v, v, int_of_float (Float.floor ((p.Problem.capacities.(v) +. 1e-12) /. load))))
   in
   Array.sort compare slots;
   let placement = Array.make nu (-1) in

@@ -23,6 +23,3 @@ val exact_uniform : Problem.qpp -> (float * Placement.t) option
     [floor (cap / load)] elements and the objective only depends on
     how many elements each node hosts, so greedily filling nodes by
     increasing [AvgDist] is optimal. Oracle for experiment E7. *)
-
-val avg_dist_to : Problem.qpp -> int -> float
-(** The (rate-weighted) [AvgDist(v)] used in the reduction. *)

@@ -58,11 +58,6 @@ let failure_probability_mc rng s p ~samples =
   done;
   float_of_int !failures /. float_of_int samples
 
-let is_transversal s nodes =
-  let set = Array.copy nodes in
-  Array.sort compare set;
-  Array.for_all (fun q -> Quorum.intersect q set) (Quorum.quorums s)
-
 (* Smallest transversal via branch and bound on the quorum list:
    every transversal must hit the first quorum, recurse on each
    choice. *)

@@ -22,10 +22,6 @@ val resilience : Quorum.system -> int
     by branch-and-bound over transversals; exponential worst case,
     fine for the explicit systems in this repository. *)
 
-val is_transversal : Quorum.system -> int array -> bool
-(** Does the given (sorted or unsorted) node set intersect every
-    quorum? *)
-
 val naor_wool_load_lower_bound : Quorum.system -> float
 (** The Naor–Wool bound: every strategy has system load at least
     [max (1/c(Q), c(Q)/n)] where [c(Q)] is the size of the smallest

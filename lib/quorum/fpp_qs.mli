@@ -11,4 +11,3 @@ val make : int -> Quorum.system
     the lines. @raise Invalid_argument if [q] is not prime or too
     large. *)
 
-val is_prime : int -> bool

@@ -18,10 +18,6 @@ let side s =
   if k * k <> Quorum.universe s then invalid_arg "Grid_qs.side: not a grid system";
   k
 
-let quorum_index k i j =
-  if i < 0 || i >= k || j < 0 || j >= k then invalid_arg "Grid_qs.quorum_index: out of range";
-  (i * k) + j
-
 let uniform_strategy s = Strategy.uniform s
 
 let element_load k = float_of_int ((2 * k) - 1) /. float_of_int (k * k)

@@ -13,9 +13,6 @@ val make : int -> Quorum.system
 val side : Quorum.system -> int
 (** Recovers [k] from a grid system ([sqrt universe]). *)
 
-val quorum_index : int -> int -> int -> int
-(** [quorum_index k i j] is the index of quorum [Q_{i,j}]. *)
-
 val uniform_strategy : Quorum.system -> Strategy.t
 (** The load-optimal uniform strategy. *)
 

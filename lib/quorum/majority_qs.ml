@@ -18,8 +18,6 @@ let make ~n ~t =
   (* Any two size-t subsets with 2t > n intersect by pigeonhole. *)
   Quorum.make_unchecked ~universe:n (Array.of_list (List.rev !quorums))
 
-let simple_majority n = make ~n ~t:((n / 2) + 1)
-
 let quorums_containing_first_of ~n ~t i =
   check_params n t;
   if i < 0 || i >= n then invalid_arg "Majority_qs: element out of range";

@@ -4,16 +4,12 @@
     intersect).
 
     The explicit family has [C(n,t)] quorums, so [make] guards against
-    blow-up; the paper's closed form (Eq. 19) and the simulator use
-    {!sample_quorum} / the descriptor instead of enumeration when [n]
-    is large. *)
+    blow-up; the paper's closed form (Eq. 19, [Majority_layout]) counts
+    with binomials instead of enumerating. *)
 
 val make : n:int -> t:int -> Quorum.system
 (** Explicit enumeration. @raise Invalid_argument unless [2t > n],
     [t <= n], and [C(n,t) <= 500_000]. *)
-
-val simple_majority : int -> Quorum.system
-(** [simple_majority n] = [make ~n ~t:(n/2 + 1)]. *)
 
 val n_quorums : n:int -> t:int -> int
 (** [C(n,t)] without enumerating. *)

@@ -88,8 +88,6 @@ let n_quorums s = Array.length s.quorums
 
 let quorum s i = s.quorums.(i)
 
-let quorum_size s i = Array.length s.quorums.(i)
-
 let element_quorums s v =
   let acc = ref [] in
   Array.iteri (fun i q -> if mem q v then acc := i :: !acc) s.quorums;

@@ -32,7 +32,6 @@ val universe : system -> int
 val quorums : system -> quorum array
 val n_quorums : system -> int
 val quorum : system -> int -> quorum
-val quorum_size : system -> int -> int
 
 val mem : quorum -> int -> bool
 (** Binary search. *)

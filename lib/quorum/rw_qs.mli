@@ -59,7 +59,6 @@ val rw_names : string
 
 val reads : t -> Quorum.system
 val writes : t -> Quorum.system
-val is_shared : t -> bool
 val universe : t -> int
 val n_reads : t -> int
 val n_writes : t -> int

@@ -13,7 +13,6 @@ val make : int -> Quorum.system
     @raise Invalid_argument if [depth < 0] or [depth > 3] (the family
     grows doubly exponentially). *)
 
-val universe_size : int -> int
 val n_quorums : int -> int
 (** Family size for a given depth, by the recurrence
     [f(d) = 2 f(d-1) + f(d-1)^2], [f(0) = 1]. *)

@@ -2,8 +2,6 @@ let threshold votes =
   let total = Array.fold_left ( + ) 0 votes in
   (total / 2) + 1
 
-let quorum_votes votes q = Array.fold_left (fun acc u -> acc + votes.(u)) 0 q
-
 let make votes =
   let n = Array.length votes in
   if n = 0 then invalid_arg "Voting_qs.make: empty vote assignment";

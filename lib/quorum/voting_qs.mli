@@ -12,9 +12,6 @@ val make : int array -> Quorum.system
     @raise Invalid_argument on empty input, non-positive votes, or
     when the universe exceeds 20 elements (enumeration guard). *)
 
-val quorum_votes : int array -> int array -> int
-(** [quorum_votes votes q] = votes gathered by the element set [q]. *)
-
 val threshold : int array -> int
 (** Smallest vote count constituting a majority:
     [floor (total/2) + 1]. *)

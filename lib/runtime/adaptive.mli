@@ -19,12 +19,6 @@
 val distinct_hosts : Qp_quorum.Quorum.system -> Qp_place.Placement.t -> int -> int list
 (** The distinct nodes hosting a quorum's elements, sorted. *)
 
-val quorum_health :
-  Qp_quorum.Quorum.system -> Qp_place.Placement.t -> Detector.t -> int -> float
-(** Product of [1 - suspicion] over the distinct nodes hosting the
-    quorum's elements (co-located elements share fate, matching
-    {!Engine.predicted_availability}). *)
-
 val strategy :
   Qp_quorum.Quorum.system ->
   Qp_place.Placement.t ->

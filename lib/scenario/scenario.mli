@@ -54,23 +54,18 @@ val default : t
 val schema : string
 (** ["qp-scenario-spec/1"]. *)
 
-val of_json : Qp_obs.Json.t -> (t, Qp_util.Qp_error.t) result
 val of_string : string -> (t, Qp_util.Qp_error.t) result
 (** Parse and validate a spec. All failures are
     [Error (Invalid_instance _)] naming the offending field. *)
 
 val validate : t -> (t, Qp_util.Qp_error.t) result
 (** Range checks on a directly-constructed spec (the same ones
-    {!of_json} applies). *)
+    {!of_string} applies). *)
 
 val region_table : t -> Qp_instance.Region.t option
 (** The region table of a ["region:NAME"] topology, [None] otherwise
     (including unknown table names — topology errors surface when the
     runner builds the graph). *)
-
-val service_of_string :
-  string -> (Qp_sim.Access_sim.service, Qp_util.Qp_error.t) result
-(** ["zero" | "fixed:X" | "exp:X"] (X = mean service time). *)
 
 val service_to_string : Qp_sim.Access_sim.service -> string
 val protocol_to_string : Qp_sim.Access_sim.protocol -> string

@@ -15,8 +15,6 @@ type t = {
   element_of_job : int array;
 }
 
-let hub_element _ = 0
-
 let make (sched : Sched.t) =
   if not (Sched.is_woeginger_form sched) then
     invalid_arg "Reduction.make: instance not in Woeginger form";

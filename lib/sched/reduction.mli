@@ -27,9 +27,6 @@ val make : Sched.t -> t
 (** @raise Invalid_argument unless the instance {!Sched.is_woeginger_form}
     and unit-time jobs precede unit-weight jobs in the numbering. *)
 
-val hub_element : t -> int
-(** [e_0]'s id (always 0). *)
-
 val delay_of_cost : t -> float -> float
 (** The proof's affine correspondence:
     [Delta_f(v0) = (eps/m) * cost + ((1-eps)/(n-m)) * sum_{i=1}^{n-m} i]. *)

@@ -17,11 +17,6 @@ val max_weight_ideal : Sched.t -> among:int list -> weights:(int -> float) -> in
     toward larger sets), restricted to the precedence induced on
     [among]; may be empty when all weights are negative. *)
 
-val max_density_ideal : Sched.t -> among:int list -> int list
-(** Non-empty ideal of maximum density among the given jobs.
-    @raise Invalid_argument if some job in [among] has zero processing
-    time (density is unbounded; pre-filter such jobs). *)
-
 val decomposition : Sched.t -> int list list
 (** The Sidney blocks in schedule order; their densities are
     non-increasing. @raise Invalid_argument if any processing time is

@@ -13,9 +13,6 @@
     - {!Decoder}: incremental, for the server event loop, which feeds
       whatever [read(2)] returned and pops complete frames. *)
 
-val header_len : int
-(** 4. *)
-
 val default_max_len : int
 (** 4 MiB. *)
 

@@ -84,9 +84,6 @@ val request :
   verb ->
   request
 
-val trace_ctx_to_json : trace_ctx -> Json.t
-val trace_ctx_of_json : Json.t -> (trace_ctx, Qp_error.t) result
-
 val request_to_json : request -> Json.t
 
 val request_of_json : Json.t -> (request, Qp_error.t) result
@@ -97,10 +94,6 @@ val parse_request : string -> (request, Json.t * Qp_error.t) result
     correlate the error reply. *)
 
 (** {2 Spec codec} *)
-
-val spec_to_json : Spec.t -> Json.t
-(** Serializes topology/nodes/system/cap_slack/seed. [jobs] is not on
-    the wire: the worker pool belongs to the server. *)
 
 val spec_of_json : ?base:Spec.t -> Json.t -> (Spec.t, Qp_error.t) result
 (** Missing fields default to [base] (default {!Spec.default} with
@@ -118,9 +111,6 @@ val spec_of_json : ?base:Spec.t -> Json.t -> (Spec.t, Qp_error.t) result
     v}
     Fields are required — a delta op with a missing endpoint or value
     is a protocol error, never defaulted. *)
-
-val delta_to_json : Delta.op list -> Json.t
-val delta_of_json : Json.t -> (Delta.op list, Qp_error.t) result
 
 (** {2 Responses} *)
 

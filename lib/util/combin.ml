@@ -32,11 +32,6 @@ let choose_iter n k f =
     in
     go 0 [] k
 
-let subsets_of_size n k =
-  let acc = ref [] in
-  choose_iter n k (fun s -> acc := s :: !acc);
-  List.rev !acc
-
 (* Lanczos approximation of log-gamma (g = 7, 9 coefficients); accurate
    to ~1e-13 for positive arguments, ample for gap reporting. *)
 let lanczos =

@@ -15,9 +15,6 @@ val choose_iter : int -> int -> (int list -> unit) -> unit
 (** [choose_iter n k f] calls [f] on every size-[k] subset of
     [0..n-1], each as a sorted list. *)
 
-val subsets_of_size : int -> int -> int list list
-(** Materialized version of {!choose_iter}. *)
-
 val log_binomial : int -> int -> float
 (** Natural log of the binomial coefficient via [lgamma]; usable when
     the exact value would overflow. *)

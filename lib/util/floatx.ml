@@ -4,9 +4,3 @@ let approx ?(tol = eps) a b =
   Float.abs (a -. b) <= tol *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
 
 let leq ?(tol = eps) a b = a <= b +. (tol *. Float.max 1. (Float.max (Float.abs a) (Float.abs b)))
-
-let geq ?tol a b = leq ?tol b a
-
-let is_zero ?tol x = approx ?tol x 0.
-
-let clamp lo hi x = if x < lo then lo else if x > hi then hi else x

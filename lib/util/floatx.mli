@@ -10,8 +10,3 @@ val approx : ?tol:float -> float -> float -> bool
 
 val leq : ?tol:float -> float -> float -> bool
 (** [leq a b] is [a <= b] up to tolerance. *)
-
-val geq : ?tol:float -> float -> float -> bool
-val is_zero : ?tol:float -> float -> bool
-val clamp : float -> float -> float -> float
-(** [clamp lo hi x]. *)

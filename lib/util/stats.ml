@@ -144,17 +144,6 @@ let summarize xs =
     max = sorted.(Array.length sorted - 1);
   }
 
-(* Tiny-sample guards: scenario cells can legitimately observe 0 or 1
-   samples (an empty region, a single client). Record emitters need a
-   total function there — [None] for empty, a degenerate-but-finite
-   summary for singletons — rather than the Invalid_argument the strict
-   API (correctly) raises mid-computation. *)
-let summarize_opt xs =
-  if Array.length xs = 0 then None else Some (summarize xs)
-
-let percentile_opt xs q =
-  if Array.length xs = 0 then None else Some (percentile xs q)
-
 (* Empirical CDF sampled on a quantile grid: [(q, percentile q)] for
    each [q] in [quantiles] (default 0, 10, .., 100). Values are
    non-decreasing in [q] by construction (order statistics of one

@@ -40,17 +40,6 @@ val summarize : float array -> summary
 (** Sorts once and reads min/p50/p95/max off the sorted copy. Rejects
     non-finite inputs like {!percentile}. *)
 
-val summarize_opt : float array -> summary option
-(** Total variant for record emitters: [None] on empty input instead of
-    [Invalid_argument]. A singleton yields the degenerate summary
-    (stddev 0, all percentiles equal) — finite, never NaN. *)
-
-val percentile_opt : float array -> float -> float option
-(** [None] on empty input; otherwise {!percentile}. *)
-
-val default_quantiles : float array
-(** Deciles: 0, 10, ..., 100. *)
-
 val cdf : ?quantiles:float array -> float array -> (float * float) list
 (** Empirical CDF sampled on a quantile grid: [(q, percentile q)]
     pairs, non-decreasing in value when [quantiles] ascend. Total on

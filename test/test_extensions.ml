@@ -201,10 +201,7 @@ let test_graph_props_path () =
   check_float "radius" 2. (Graph_props.radius m);
   check_float "diameter" 4. (Graph_props.diameter m);
   Alcotest.(check int) "center" 2 (Graph_props.center m);
-  Alcotest.(check int) "median" 2 (Graph_props.one_median m);
-  (* APL of P5: sum over ordered pairs = 2*(4*1+3*2+2*3+1*4) = 40;
-     pairs = 20 -> 2. *)
-  check_float "apl" 2. (Graph_props.average_path_length m)
+  Alcotest.(check int) "median" 2 (Graph_props.one_median m)
 
 let test_graph_props_star () =
   let m = Metric.of_graph (Generators.star 7) in

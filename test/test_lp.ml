@@ -115,9 +115,9 @@ let test_builder_validation () =
 let test_objective_helpers () =
   let lp = Lp.create 2 in
   Lp.set_objective lp 0 1.;
-  Lp.add_objective lp 0 2.;
+  Lp.set_objective lp 0 3.;
   let o = Lp.objective lp in
-  check_float "accumulated" 3. o.(0);
+  check_float "overwritten" 3. o.(0);
   check_float "value" 6. (Lp.objective_value lp [| 2.; 0. |])
 
 (* Transportation LP with known optimum (2 sources x 2 sinks).

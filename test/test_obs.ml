@@ -619,9 +619,10 @@ let test_trace_sink_atomic_from_pool () =
   Fun.protect ~finally:(fun () -> Trace.uninstall Trace.spans) (fun () ->
       Trace.install Trace.spans (Trace.to_file path);
       Trace.header Trace.spans [];
-      Pool.parallel_iter pool
-        (fun i -> Span.with_ (Printf.sprintf "job-%d" i) ignore)
-        (Array.init n Fun.id));
+      ignore
+        (Pool.parallel_map pool
+           (fun i -> Span.with_ (Printf.sprintf "job-%d" i) ignore)
+           (Array.init n Fun.id)));
   let records = read_jsonl path in
   (* every record is a complete line and nothing was lost *)
   Alcotest.(check int) "all records present" (n + 1) (List.length records);
@@ -634,14 +635,15 @@ let test_wide_sink_atomic_from_pool () =
   Fun.protect ~finally:(fun () -> Trace.uninstall Trace.wide) (fun () ->
       Trace.install Trace.wide (Trace.to_file path);
       Trace.header Trace.wide [];
-      Pool.parallel_iter pool
-        (fun i ->
-          let ev = Wide.start ~kind:"pool_job" () in
-          Wide.set_int ev "i" i;
-          Wide.within ev (fun () ->
-              Span.with_ "work" (fun () -> ignore (Sys.opaque_identity (i * i))));
-          Wide.finish ev)
-        (Array.init n Fun.id));
+      ignore
+        (Pool.parallel_map pool
+           (fun i ->
+             let ev = Wide.start ~kind:"pool_job" () in
+             Wide.set_int ev "i" i;
+             Wide.within ev (fun () ->
+                 Span.with_ "work" (fun () -> ignore (Sys.opaque_identity (i * i))));
+             Wide.finish ev)
+           (Array.init n Fun.id)));
   let records = read_jsonl path in
   Alcotest.(check int) "all records present" (n + 1) (List.length records);
   let wides = List.filter (fun r -> get_str "type" r = "wide") records in

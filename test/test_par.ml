@@ -72,7 +72,7 @@ let test_iter_runs_each_once () =
   let hits = Array.make n 0 in
   (* Elements of one chunk run on one domain; counting into distinct
      slots is race-free because indices are disjoint. *)
-  Pool.parallel_iter pool (fun i -> hits.(i) <- hits.(i) + 1) (Array.init n (fun i -> i));
+  ignore (Pool.parallel_map pool (fun i -> hits.(i) <- hits.(i) + 1) (Array.init n (fun i -> i)));
   Alcotest.(check (array int)) "each exactly once" (Array.make n 1) hits
 
 exception Boom of int

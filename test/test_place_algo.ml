@@ -436,7 +436,7 @@ let test_total_delay_separability () =
   let f = [| 1; 3; 0; 5 |] in
   let loads = Problem.element_loads p in
   let expected =
-    Array.to_list (Array.mapi (fun u v -> loads.(u) *. Total_delay.avg_dist_to p v) f)
+    Array.to_list (Array.mapi (fun u v -> loads.(u) *. Problem.avg_dist p v) f)
     |> List.fold_left ( +. ) 0.
   in
   check_float "separable form" expected (Delay.avg_total_delay p f)

@@ -11,7 +11,7 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_make_normalizes () =
   let s = Quorum.make ~universe:4 [| [| 2; 0; 2; 1 |]; [| 1; 3 |] |] in
   Alcotest.(check (array int)) "sorted dedup" [| 0; 1; 2 |] (Quorum.quorum s 0);
-  Alcotest.(check int) "sizes" 2 (Quorum.quorum_size s 1)
+  Alcotest.(check int) "sizes" 2 (Array.length (Quorum.quorum s 1))
 
 let test_make_rejects () =
   Alcotest.check_raises "empty family" (Invalid_argument "Quorum.make: empty family")
@@ -123,8 +123,8 @@ let test_grid_shape () =
 let test_grid_quorum_contents () =
   let k = 3 in
   let s = Grid_qs.make k in
-  let q = Quorum.quorum s (Grid_qs.quorum_index k 1 2) in
-  (* Row 1 = {3,4,5}; column 2 = {2,5,8}. *)
+  (* Q_{i,j} has index i*k + j. Row 1 = {3,4,5}; column 2 = {2,5,8}. *)
+  let q = Quorum.quorum s ((1 * k) + 2) in
   Alcotest.(check (array int)) "row+col" [| 2; 3; 4; 5; 8 |] q
 
 let test_grid_load () =
@@ -234,8 +234,16 @@ let test_fpp_balanced_load () =
 let test_fpp_rejects () =
   Alcotest.check_raises "composite" (Invalid_argument "Fpp_qs.make: q must be prime")
     (fun () -> ignore (Fpp_qs.make 4));
-  Alcotest.(check bool) "is_prime" true (Fpp_qs.is_prime 13);
-  Alcotest.(check bool) "not prime" false (Fpp_qs.is_prime 15)
+  List.iter
+    (fun q ->
+      Alcotest.check_raises
+        (Printf.sprintf "odd composite %d" q)
+        (Invalid_argument "Fpp_qs.make: q must be prime")
+        (fun () -> ignore (Fpp_qs.make q)))
+    [ 9; 15; 25 ];
+  let s = Fpp_qs.make 13 in
+  Alcotest.(check int) "prime 13: universe" 183 (Quorum.universe s);
+  Alcotest.(check int) "prime 13: lines" 183 (Quorum.n_quorums s)
 
 (* ------------------------------------------------------------------ *)
 (* Walls                                                               *)

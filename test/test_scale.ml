@@ -658,13 +658,109 @@ let prop_one_center_bits =
                 Int64.bits_of_float sums.(v)
                 = Int64.bits_of_float (Metric.weighted_max_sum m rates v v))))
 
+(* Copies of the loops that [Problem.avg_dist] and
+   [Graph_props.one_median] replaced (the rate-weighted sum of
+   Qpp_solver.run, Relay.relay_delay_via and Total_delay.avg_dist_to;
+   the argmin of Design.one_median and Baselines.lin_single_node). The
+   unweighted mean is spelled out rather than calling
+   [Metric.average_distance], so the oracles share no code with the
+   functions under test. *)
+let old_mean_dist m v0 =
+  let n = Metric.size m in
+  if n = 0 then 0.
+  else begin
+    let sum = ref 0. in
+    for v = 0 to n - 1 do
+      sum := !sum +. Metric.dist m v v0
+    done;
+    !sum /. float_of_int n
+  end
+
+let old_avg_dist (p : Problem.qpp) v0 =
+  match p.Problem.client_rates with
+  | None -> old_mean_dist p.Problem.metric v0
+  | Some rates ->
+      let total = Array.fold_left ( +. ) 0. rates in
+      let acc = ref 0. in
+      Array.iteri
+        (fun v rate ->
+          if rate > 0. then acc := !acc +. (rate *. Metric.dist p.Problem.metric v v0))
+        rates;
+      !acc /. total
+
+let old_one_median m =
+  let best = ref 0 and best_cost = ref infinity in
+  for v = 0 to Metric.size m - 1 do
+    let c = old_mean_dist m v in
+    if c < !best_cost then begin
+      best_cost := c;
+      best := v
+    end
+  done;
+  !best
+
+(* Distances drawn from [lo, hi] with hi <= 2 lo always form a metric. *)
+let random_metric n ~draw =
+  let d = Array.make_matrix n n 0. in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      let x = draw () in
+      d.(a).(b) <- x;
+      d.(b).(a) <- x
+    done
+  done;
+  Metric.of_matrix d
+
+let qpp_on m rates =
+  let system = Qp_quorum.Simple_qs.triangle () in
+  Problem.make_qpp ~metric:m ~capacities:(Array.make (Metric.size m) 3.) ~system
+    ~strategy:(Qp_quorum.Strategy.uniform system) ?client_rates:rates ()
+
+(* Rates: none, a quarter of them zero, or spread over six decades, so
+   that summing in another order changes bits. *)
+let prop_avg_dist_as_before =
+  QCheck.Test.make ~name:"Problem.avg_dist = the old rate-weighted loop bitwise"
+    ~count:300 QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 40 in
+      let m = random_metric n ~draw:(fun () -> 1. +. Rng.float rng 1.) in
+      let rates =
+        match Rng.int rng 3 with
+        | 0 -> None
+        | 1 ->
+            Some
+              (Array.init n (fun v ->
+                   if v = 0 || Rng.int rng 4 > 0 then 0.1 +. Rng.float rng 3. else 0.))
+        | _ -> Some (Array.init n (fun _ -> 10. ** (Rng.float rng 6. -. 3.)))
+      in
+      let p = qpp_on m rates in
+      List.for_all
+        (fun v0 ->
+          Int64.bits_of_float (Problem.avg_dist p v0)
+          = Int64.bits_of_float (old_avg_dist p v0))
+        (List.init n Fun.id))
+
+(* Distances in {1, 2} make tied minima common: the lowest id must win
+   for the shared argmin and for both callers that used to copy it. *)
+let prop_one_median_as_before =
+  QCheck.Test.make ~name:"Graph_props.one_median = the old argmin on ties" ~count:300
+    QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 8 in
+      let m = random_metric n ~draw:(fun () -> float_of_int (1 + Rng.int rng 2)) in
+      let want = old_one_median m in
+      Qp_graph.Graph_props.one_median m = want
+      && fst (Baselines.lin_single_node (qpp_on m None)) = want
+      && fst (Qp_design.Design.lin_median_design m) = want)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_flat_equals_boxed_dijkstra; prop_blocked_fw_equals_boxed;
       prop_blocked_fw_multiblock; prop_dijkstra_into_equals_boxed;
       prop_tree_equals_exhaustive; prop_tree_no_worse_than_lp;
       prop_tree_check_exact; prop_entry_check_as_before; prop_mst_parent_as_before;
-      prop_tree_verdict_as_before; prop_two_center_bits_as_before; prop_one_center_bits ]
+      prop_tree_verdict_as_before; prop_two_center_bits_as_before; prop_one_center_bits;
+      prop_avg_dist_as_before; prop_one_median_as_before ]
 
 let suites =
   [

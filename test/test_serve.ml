@@ -357,6 +357,28 @@ let test_deadline_zero_rejected () =
   in
   checks "deadline code" "deadline_exceeded" (Protocol.serve_error_code e)
 
+(* The exhaustive solver on 16 nodes and majority:5:3 enumerates about
+   a million placements (seconds of work); a 50 ms request deadline must
+   cancel it mid-search and free the server's only worker. *)
+let test_exact_deadline_cancels () =
+  with_server @@ fun port ->
+  let c = get_ok "connect" (Client.connect ~port ()) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let e =
+    call_err "exact under deadline" c
+      (Protocol.request
+         ~spec:{ Spec.default with Spec.nodes = 16; system = "majority:5:3"; seed = 1; jobs = 1 }
+         ~options:
+           { Protocol.default_options with
+             Protocol.algorithm = "exact";
+             deadline_ms = Some 50 }
+         Protocol.Solve)
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  checks "deadline code" "deadline_exceeded" (Protocol.serve_error_code e);
+  checkb (Printf.sprintf "answered in %.3f s, well under 1 s" elapsed) true (elapsed < 1.)
+
 (* A negative budget is an input error on the wire, not an internal
    "budget exceeded" failure of the solve. *)
 let test_negative_pivot_budget_rejected () =
@@ -1347,6 +1369,7 @@ let suites =
         Alcotest.test_case "served solve = offline solve" `Quick test_served_equals_offline;
         Alcotest.test_case "typed solve errors" `Quick test_solve_typed_errors;
         Alcotest.test_case "deadline 0 rejected" `Quick test_deadline_zero_rejected;
+        Alcotest.test_case "exact honours the deadline" `Quick test_exact_deadline_cancels;
         Alcotest.test_case "malformed request gets a reply" `Quick test_malformed_gets_reply_not_hangup;
         Alcotest.test_case "queue-full rejection" `Quick test_queue_full_rejection;
         Alcotest.test_case "graceful drain ordering" `Quick test_graceful_drain_ordering;

@@ -127,27 +127,6 @@ let test_infeasible_is_typed () =
       | Ok _ -> Alcotest.fail (name ^ ": solved an infeasible instance"))
     [ "greedy"; "random"; "exact" ]
 
-(* solve_many must agree with the sequential map, element for element,
-   on both payloads and ordering. *)
-let test_solve_many_matches_sequential () =
-  let problems =
-    List.map (fun seed -> ok_exn (Spec.build (build_spec ~seed ()))) [ 1; 2; 3; 4; 5 ]
-  in
-  let s = Solver.find_exn "greedy" in
-  let batch = Solver.solve_many s problems in
-  let seq = List.map (s.Solver.solve Solver.default_params) problems in
-  Alcotest.(check int) "same length" (List.length seq) (List.length batch);
-  List.iter2
-    (fun a b ->
-      match (a, b) with
-      | Ok oa, Ok ob ->
-          Alcotest.(check bool) "same outcome" true (Outcome.equal oa ob)
-      | Error ea, Error eb ->
-          Alcotest.(check string) "same error" (Qp_error.to_string ea)
-            (Qp_error.to_string eb)
-      | _ -> Alcotest.fail "batch/sequential disagree on feasibility")
-    seq batch
-
 let test_registry_table () =
   let table = Solver.registry_table_markdown () in
   List.iter
@@ -323,8 +302,6 @@ let suites =
           test_all_solvers_well_formed;
         Alcotest.test_case "source out of range" `Quick test_source_out_of_range;
         Alcotest.test_case "infeasible is typed" `Quick test_infeasible_is_typed;
-        Alcotest.test_case "solve_many matches sequential" `Quick
-          test_solve_many_matches_sequential;
         Alcotest.test_case "registry table" `Quick test_registry_table;
         Alcotest.test_case "README table in sync" `Quick test_readme_in_sync;
         Alcotest.test_case "seed solve pivot total" `Quick test_seed_solve_pivots;
